@@ -11,6 +11,7 @@ reproducible benchmark CLI.
 from .data import Dataset, read_csv, split, write_csv
 from .estimators import (
     CvConfig,
+    DegenerateDataError,
     FitDiagnostics,
     FittedModel,
     TrainingProtocol,
@@ -27,7 +28,6 @@ from .metrics import (
     SignificanceMatrix,
     accuracy,
     auc_roc,
-    bootstrap_evaluate,
     brier,
     f1,
     score_report,
@@ -57,6 +57,7 @@ from .optimize import Method, NonFiniteError, OptimResult, OptimizerConfig, mini
 from .runner import (
     ExperimentConfig,
     ResultTable,
+    bootstrap_evaluate,
     fit_single,
     generate_dataset,
     run_real_benchmark,

@@ -31,10 +31,11 @@ from .objective import (
     unpack_psychm,
     unpack_spm,
 )
-from .optimize import Method, OptimResult, OptimizerConfig, minimize
+from .optimize import Method, NonFiniteError, OptimResult, OptimizerConfig, minimize
 
 __all__ = [
     "CvConfig",
+    "DegenerateDataError",
     "FitDiagnostics",
     "FittedModel",
     "TrainingProtocol",
@@ -49,6 +50,10 @@ __all__ = [
 ]
 
 _INIT_SCALE = 0.1  # std of the Gaussian weight initialization; biases start at 0
+
+
+class DegenerateDataError(ValueError):
+    """The data cannot support the fit, e.g. it holds a single class."""
 
 
 @dataclass(frozen=True)
@@ -220,7 +225,7 @@ def fit_naive(
     interface uniformity with the other fitting procedures.
     """
     if np.all(data.l == data.l[0]):
-        raise ValueError("annotation flags are all equal; nothing to fit")
+        raise DegenerateDataError("annotation flags are all equal; nothing to fit")
     opt = opt or default_optimizer(ModelKind.NAIVE, data.dim)
     params, result = _fit_logistic(data.x, data.l, reg.c_tgt, reg.norm_tgt, opt)
     return FittedModel(kind=ModelKind.NAIVE, target=params, diagnostics=_diag(result))
@@ -233,7 +238,7 @@ def fit_real_oracle(
     if data.y is None:
         raise ValueError("oracle fit needs ground-truth classes y")
     if np.all(data.y == data.y[0]):
-        raise ValueError("classes are all equal; nothing to fit")
+        raise DegenerateDataError("classes are all equal; nothing to fit")
     opt = opt or default_optimizer(ModelKind.REAL_ORACLE, data.dim)
     params, result = _fit_logistic(data.x, data.y, reg.c_tgt, reg.norm_tgt, opt)
     return FittedModel(kind=ModelKind.REAL_ORACLE, target=params, diagnostics=_diag(result))
@@ -252,10 +257,10 @@ def fit_elkan(
         raise ValueError("holdout_frac must be in (0, 1)")
     train, holdout = split(data, 1.0 - holdout_frac, seed=_derive_seed(seed, 100))
     if np.all(train.l == train.l[0]):
-        raise ValueError("training part has all-equal annotation flags")
+        raise DegenerateDataError("training part has all-equal annotation flags")
     labeled = holdout.l == 1
     if not np.any(labeled):
-        raise ValueError("holdout contains no labeled positives; cannot estimate c")
+        raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")
     opt = opt or default_optimizer(ModelKind.ELKAN, data.dim)
     params, result = _fit_logistic(train.x, train.l, reg.c_tgt, reg.norm_tgt, opt)
     c_hat = float(np.mean(affine_sigmoid(holdout.x[labeled], params.w, params.b)))
@@ -396,7 +401,9 @@ def select_hyperparams(
 
     Ties go to the more regularized pair: larger coefficient sum, then
     larger target penalty, then larger selection penalty.  Models without a
-    selection factor are fitted once per distinct target penalty.
+    selection factor are fitted once per distinct target penalty.  A cell
+    whose fold fit hits degenerate data or a non-finite loss is failed and
+    never selected; if every cell fails, a ValueError names the model.
     """
     protocol = protocol or TrainingProtocol(cv=cv)
     # Fold fits only rank penalty pairs; restarts are reserved for the final fit.
@@ -407,9 +414,9 @@ def select_hyperparams(
     folds = np.array_split(perm, cv.folds)
 
     has_selection = kind in (ModelKind.SPM, ModelKind.PSYCHM)
-    cache: dict[tuple, float] = {}
+    cache: dict[tuple, float | None] = {}
 
-    def mean_brier(sel_idx: int, tgt_idx: int, c_sel: float, c_tgt: float) -> float:
+    def mean_brier(sel_idx: int, tgt_idx: int, c_sel: float, c_tgt: float) -> float | None:
         key = (sel_idx, tgt_idx) if has_selection else (tgt_idx,)
         if key in cache:
             return cache[key]
@@ -420,7 +427,11 @@ def select_hyperparams(
         for f, val_idx in enumerate(folds):
             train_idx = np.concatenate([folds[j] for j in range(cv.folds) if j != f])
             fit_seed = _derive_seed(seed, 1, *key, f)
-            model = _fit_kind(data.subset(train_idx), kind, reg, opt, fit_seed, protocol)
+            try:
+                model = _fit_kind(data.subset(train_idx), kind, reg, opt, fit_seed, protocol)
+            except (DegenerateDataError, NonFiniteError):
+                cache[key] = None
+                return None
             val = data.subset(val_idx)
             scores.append(brier(model.annotation_probability(val.x), val.l))
         cache[key] = float(np.mean(scores))
@@ -431,9 +442,13 @@ def select_hyperparams(
         enumerate(cv.grid_sel), enumerate(cv.grid_tgt)
     ):
         score = mean_brier(sel_idx, tgt_idx, c_sel, c_tgt)
+        if score is None:
+            continue
         rank = (score, -(c_sel + c_tgt), -c_tgt, -c_sel)
         if best is None or rank < best[0]:
             best = (rank, c_sel, c_tgt)
+    if best is None:
+        raise ValueError(f"every cross-validation cell failed for model {kind.value}")
     _, c_sel, c_tgt = best
     return RegConfig(
         c_sel=c_sel, c_tgt=c_tgt, norm_sel=protocol.norm_sel, norm_tgt=protocol.norm_tgt

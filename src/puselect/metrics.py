@@ -1,4 +1,4 @@
-"""Classification metrics, the pairwise quantile test, and bootstrap evaluation."""
+"""Classification metrics and the pairwise quantile test."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, split
+# Not used here.  perfbench/tracing.py wraps ``split`` where each module looks
+# it up, including here, where the bootstrap evaluation used to live.
+from .data import split  # noqa: F401
 from .models import ModelKind
 
 __all__ = [
@@ -19,7 +21,6 @@ __all__ = [
     "auc_roc",
     "score_report",
     "significance_matrix",
-    "bootstrap_evaluate",
 ]
 
 METRIC_NAMES = ("f1", "accuracy", "auc", "brier")
@@ -159,38 +160,3 @@ def significance_matrix(
             q = float(np.quantile(diff, quantile_rule))
             pairs[(m1, m2)] = PairTest(significant=q >= 0.0, quantile_value=q)
     return SignificanceMatrix(quantile_rule=quantile_rule, pairs=pairs)
-
-
-def _derive_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint64)[0])
-
-
-def bootstrap_evaluate(
-    data: Dataset, kinds, resamples: int, protocol, seed: int
-) -> list[MetricReport]:
-    """Fit/score all models on bootstrap resamples of a ground-truthed dataset.
-
-    Each resample draws n rows with replacement, splits them into equal
-    train/test halves, trains every requested model on the training half
-    (with the protocol's cross-validated penalty selection), and scores on
-    the held-out half against y.  Per-resample seeds are derived from the
-    master seed, so results do not depend on execution order.
-    """
-    from .estimators import train_model  # deferred: estimators imports this module
-
-    if data.y is None:
-        raise ValueError("bootstrap evaluation needs ground-truth classes y")
-    if resamples < 1:
-        raise ValueError("resamples must be >= 1")
-    kinds = list(kinds)
-    reports = []
-    for r in range(resamples):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r, 0)))
-        )
-        sample = data.subset(rng.integers(0, data.n, size=data.n))
-        train, test = split(sample, 0.5, seed=_derive_seed(seed, r, 1))
-        for k_idx, kind in enumerate(kinds):
-            model = train_model(train, kind, protocol, seed=_derive_seed(seed, r, 2, k_idx))
-            reports.append(score_report(kind, r, model.score(test.x), test.y))
-    return reports

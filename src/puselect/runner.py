@@ -1,16 +1,18 @@
-"""Experiment orchestration: trial loops, aggregation, and result files.
+"""Experiment orchestration: trial and resample loops, aggregation, and result files.
 
-Per-trial seeds are derived from the master seed and the trial index, so
-results are identical whatever the degree of parallelism, and aggregation
-always walks trials in index order.  Output files embed the resolved
-configuration for provenance, and identical configurations reproduce them
-byte for byte.
+A synthetic trial and a bootstrap resample are independent units of work.
+Each unit's seeds are derived from the master seed and its index, and
+units run inline or across worker processes through one helper that
+returns results in index order, so results are identical whatever the
+degree of parallelism.  Output files embed the resolved configuration for
+provenance, and identical configurations reproduce them byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -20,13 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, read_csv, split, write_csv
-from .estimators import FittedModel, TrainingProtocol, train_model
+from .estimators import FittedModel, TrainingProtocol, _derive_seed, _rng, train_model
 from .metrics import (
     LOWER_IS_BETTER,
     METRIC_NAMES,
     MetricReport,
     SignificanceMatrix,
-    bootstrap_evaluate,
     score_report,
     significance_matrix,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "ResultTable",
     "run_synth_benchmark",
     "run_real_benchmark",
+    "bootstrap_evaluate",
     "generate_dataset",
     "fit_single",
 ]
@@ -109,10 +111,6 @@ class ResultTable:
             },
             "non_converged_fits": self.non_converged_fits,
         }
-
-
-def _derive_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint64)[0])
 
 
 def _jsonable(obj):
@@ -231,6 +229,21 @@ def _write_outputs(out: Path, mode: str, cfg: ExperimentConfig, table: ResultTab
     (out / "aggregate.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _map_units(task, units: int, jobs: int) -> list:
+    """``[task(u) for u in range(units)]`` on ``min(jobs, units)`` worker
+    processes, inline when that is one; results come back in unit order.
+
+    Workers are spawned, not forked, so they start from a fresh import and
+    inherit no threads or locks of the caller; ``task`` must pickle.
+    """
+    workers = min(jobs, units)
+    if workers == 1:
+        return [task(u) for u in range(units)]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(task, range(units)))
+
+
 def _run_synth_trial(cfg: ExperimentConfig, trial_id: int) -> tuple[list[MetricReport], int]:
     gen_cfg = replace(cfg.generator, seed=_derive_seed(cfg.seed, trial_id, 0))
     data = generate(gen_cfg)
@@ -247,17 +260,44 @@ def run_synth_benchmark(cfg: ExperimentConfig) -> ResultTable:
     """Fresh generator parameters and data every trial; equal train/test split;
     CV-selected penalties per model; scores on the ground-truth test pairs."""
     out = _check_writable(cfg.output_dir)
-    task = partial(_run_synth_trial, cfg)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(task, range(cfg.trials)))
-    else:
-        outcomes = [task(t) for t in range(cfg.trials)]
+    outcomes = _map_units(partial(_run_synth_trial, cfg), cfg.trials, cfg.jobs)
     reports = [r for trial_reports, _ in outcomes for r in trial_reports]
     non_converged = sum(w for _, w in outcomes)
     table = _aggregate(reports, cfg.models, cfg.quantile_rule, non_converged)
     _write_outputs(out, "bench-synth", cfg, table, "trials.csv")
     return table
+
+
+def _run_resample(
+    data: Dataset, kinds: tuple[ModelKind, ...], protocol: TrainingProtocol, seed: int, r: int
+) -> list[MetricReport]:
+    sample = data.subset(_rng(seed, r, 0).integers(0, data.n, size=data.n))
+    train, test = split(sample, 0.5, seed=_derive_seed(seed, r, 1))
+    reports = []
+    for k_idx, kind in enumerate(kinds):
+        model = train_model(train, kind, protocol, seed=_derive_seed(seed, r, 2, k_idx))
+        reports.append(score_report(kind, r, model.score(test.x), test.y))
+    return reports
+
+
+def bootstrap_evaluate(
+    data: Dataset, kinds, resamples: int, protocol, seed: int, jobs: int = 1
+) -> list[MetricReport]:
+    """Fit/score all models on bootstrap resamples of a ground-truthed dataset.
+
+    Each resample draws n rows with replacement, splits them into equal
+    train/test halves, trains every requested model on the training half
+    (with the protocol's cross-validated penalty selection), and scores on
+    the held-out half against y.  Per-resample seeds are derived from the
+    master seed, so results do not depend on execution order or on
+    ``jobs``, the number of worker processes the resamples run on.
+    """
+    if data.y is None:
+        raise ValueError("bootstrap evaluation needs ground-truth classes y")
+    if resamples < 1 or jobs < 1:
+        raise ValueError("resamples and jobs must be >= 1")
+    task = partial(_run_resample, data, tuple(kinds), protocol, seed)
+    return [rep for reports in _map_units(task, resamples, jobs) for rep in reports]
 
 
 def run_real_benchmark(cfg: ExperimentConfig, dataset_path) -> ResultTable:
@@ -266,7 +306,7 @@ def run_real_benchmark(cfg: ExperimentConfig, dataset_path) -> ResultTable:
     data = read_csv(dataset_path)
     if data.y is None:
         raise ValueError(f"{dataset_path}: real benchmark needs a y column")
-    reports = bootstrap_evaluate(data, cfg.models, cfg.resamples, cfg.protocol, cfg.seed)
+    reports = bootstrap_evaluate(data, cfg.models, cfg.resamples, cfg.protocol, cfg.seed, cfg.jobs)
     table = _aggregate(reports, cfg.models, cfg.quantile_rule, 0)
     _write_outputs(out, "bench-real", cfg, table, "resamples.csv")
     return table

@@ -20,7 +20,7 @@ from puselect.estimators import (
     fit_psychm,
     fit_spm,
 )
-from puselect.metrics import auc_roc, accuracy, brier, f1, bootstrap_evaluate
+from puselect.metrics import auc_roc, accuracy, brier, f1
 from puselect.models import (
     LinearParams,
     ModelKind,
@@ -32,7 +32,7 @@ from puselect.models import (
     spm_posterior,
 )
 from puselect.objective import RegConfig, free_param_length, loss, loss_gradient
-from puselect.runner import ExperimentConfig, _derive_seed, run_synth_benchmark
+from puselect.runner import ExperimentConfig, _derive_seed, bootstrap_evaluate, run_synth_benchmark
 from puselect.synth import GeneratorConfig, generate
 
 ALL_KINDS = (ModelKind.SPM, ModelKind.PSYCHM, ModelKind.NAIVE, ModelKind.ELKAN,
@@ -409,6 +409,25 @@ class TestCriterion8Determinism:
         ok = digests["a"] == digests["b"] == digests["a2"]
         report(
             "criterion 8 (determinism across parallelism)",
+            ok,
+            f"aggregate JSON byte-identical for jobs=1 vs jobs=4 and across reruns: {ok}",
+        )
+        assert ok
+
+    def test_bench_real_byte_identical_across_jobs(self, tmp_path):
+        csv_path = tmp_path / "real.csv"
+        gen_flags = ["--generator.n", "600", "--generator.d", "3", "--seed", "98"]
+        assert cli_main(["generate", str(csv_path), *gen_flags]) == 0
+        flags = ["--resamples", "4", "--seed", "99", "--cv.max_iters", "120", "--fit.n_starts", "1"]
+        digests = {}
+        for jobs, name in (("1", "a"), ("4", "b"), ("1", "a2")):
+            out = tmp_path / name
+            code = cli_main(["bench-real", str(csv_path), *flags, "--jobs", jobs, "--out", str(out)])
+            assert code == 0
+            digests[name] = (out / "aggregate.json").read_bytes()
+        ok = digests["a"] == digests["b"] == digests["a2"]
+        report(
+            "criterion 8 (bench-real determinism across parallelism)",
             ok,
             f"aggregate JSON byte-identical for jobs=1 vs jobs=4 and across reruns: {ok}",
         )

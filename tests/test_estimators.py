@@ -5,6 +5,7 @@ import puselect.estimators as est
 from puselect.data import Dataset, split
 from puselect.estimators import (
     CvConfig,
+    DegenerateDataError,
     TrainingProtocol,
     default_optimizer,
     fit_elkan,
@@ -334,6 +335,43 @@ class TestSelectHyperparams:
         data = Dataset(x=np.ones((2, 1)), l=np.array([0, 1]))
         with pytest.raises(ValueError):
             select_hyperparams(data, ModelKind.NAIVE, CvConfig(folds=3), seed=0)
+
+    def test_degenerate_fold_fails_its_cell_only(self):
+        # Resample 0 of `bench-real --seed 10002` on the CSV written by
+        # `generate --seed 10002 --generator.n 1000 --generator.d 3`, Elkan
+        # being the fourth of the default models: the training half has 30
+        # of 500 rows annotated, and the c_tgt=0 cell's third fold fit finds
+        # no annotated row in its Elkan holdout.
+        seed = 10002
+        data = generate(GeneratorConfig(n=1000, d=3, seed=seed))
+        sample = data.subset(est._rng(seed, 0, 0).integers(0, data.n, size=data.n))
+        train, _ = split(sample, 0.5, seed=est._derive_seed(seed, 0, 1))
+        protocol = TrainingProtocol(cv_max_iters=200, n_starts=3)
+        fit_seed = est._derive_seed(seed, 0, 2, 3)
+        cv_seed = est._derive_seed(fit_seed, 0)
+
+        folds = np.array_split(est._rng(cv_seed, 0).permutation(train.n), 3)
+        with pytest.raises(DegenerateDataError):
+            fit_elkan(train.subset(np.concatenate(folds[:2])), REG0,
+                      seed=est._derive_seed(cv_seed, 1, 0, 2))
+
+        cv_opt = protocol.cv_optimizer_for(ModelKind.ELKAN, train.dim)
+        reg = select_hyperparams(train, ModelKind.ELKAN, protocol.cv, opt=cv_opt,
+                                 seed=cv_seed, protocol=protocol)
+        assert reg.c_tgt != 0.0
+        model = train_model(train, ModelKind.ELKAN, protocol, seed=fit_seed)
+        assert 0.0 < model.c_hat <= 1.0
+
+    def test_every_cell_failing_names_the_model(self):
+        # With one annotated row, every Elkan fit either trains on a single
+        # class or finds no annotated row in its holdout.
+        rng = np.random.default_rng(41)
+        l = np.zeros(30, dtype=int)
+        l[0] = 1
+        data = Dataset(x=rng.normal(size=(30, 2)), l=l)
+        cv = CvConfig(folds=3, grid_sel=(0.0,), grid_tgt=(0.0, 1.0))
+        with pytest.raises(ValueError, match="elkan"):
+            select_hyperparams(data, ModelKind.ELKAN, cv, seed=42)
 
 
 @pytest.fixture(scope="module")

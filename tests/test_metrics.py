@@ -8,13 +8,13 @@ from puselect.estimators import CvConfig, TrainingProtocol
 from puselect.metrics import (
     accuracy,
     auc_roc,
-    bootstrap_evaluate,
     brier,
     f1,
     score_report,
     significance_matrix,
 )
 from puselect.models import ModelKind
+from puselect.runner import bootstrap_evaluate
 from puselect.synth import GeneratorConfig, generate
 
 

@@ -318,3 +318,19 @@ class TestFastClosures:
             g = gradient(theta)
             assert objective(theta) == loss(data, ModelKind.PSYCHM, theta, reg)
             np.testing.assert_array_equal(g, loss_gradient(data, ModelKind.PSYCHM, theta, reg))
+
+    @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM])
+    def test_repeated_calls_are_independent(self, kind):
+        # The engine reuses its work arrays across calls; each call must
+        # still return a gradient of its own that later calls leave intact.
+        rng = np.random.default_rng(12)
+        data = _random_dataset(rng, n=40, d=3)
+        reg = RegConfig(c_sel=0.2, c_tgt=0.1)
+        _, gradient = make_loss_functions(data, kind, reg)
+        thetas = [_random_theta(rng, kind, 3) for _ in range(3)]
+        first = [gradient(theta) for theta in thetas]
+        kept = [g.copy() for g in first]
+        for theta, g, k in zip(thetas, first, kept):
+            np.testing.assert_array_equal(gradient(theta), k)
+            np.testing.assert_array_equal(g, k)
+            np.testing.assert_array_equal(k, loss_gradient(data, kind, theta, reg))

@@ -6,6 +6,7 @@ from puselect.cli import CONFIG_KEYS, build_config, main, parse_config_file
 from puselect.data import read_csv
 from puselect.estimators import CvConfig, TrainingProtocol
 from puselect.models import ModelKind
+from puselect import runner
 from puselect.optimize import Method
 from puselect.runner import (
     ExperimentConfig,
@@ -71,6 +72,13 @@ class TestRunSynthBenchmark:
             tmp_path / "parallel" / "aggregate.json"
         ).read_bytes()
 
+    def test_single_unit_runs_inline(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single trial must not start worker processes")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        run_synth_benchmark(light_config(tmp_path, trials=1, jobs=4))
+
     def test_aggregate_embeds_config_and_seed(self, tmp_path):
         cfg = light_config(tmp_path)
         run_synth_benchmark(cfg)
@@ -119,6 +127,17 @@ class TestRunRealBenchmark:
         assert payload["mode"] == "bench-real"
         assert set(payload["results"]) == {"f1", "accuracy", "auc", "brier"}
         assert len(table.reports) == cfg.resamples * len(cfg.models)
+
+    def test_parallel_jobs_identical(self, tmp_path):
+        # Three resamples: two workers get uneven shares, four exceed the count.
+        csv_path = tmp_path / "real.csv"
+        generate_dataset(light_config(tmp_path), csv_path)
+        outputs = {}
+        for jobs in (1, 2, 4):
+            out = tmp_path / f"jobs{jobs}"
+            run_real_benchmark(light_config(tmp_path, resamples=3, jobs=jobs, output_dir=str(out)), csv_path)
+            outputs[jobs] = ((out / "resamples.csv").read_bytes(), (out / "aggregate.json").read_bytes())
+        assert outputs[1] == outputs[2] == outputs[4]
 
     def test_missing_ground_truth_rejected(self, tmp_path):
         data = generate(GeneratorConfig(n=50, d=2, seed=6))
