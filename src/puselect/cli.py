@@ -52,40 +52,47 @@ def _parse_models(v: str) -> tuple[ModelKind, ...]:
     return kinds
 
 
-# key -> (parser, default).  The resolved mapping is assembled into the
-# config dataclasses by build_config.
+_EXPERIMENT = ExperimentConfig()
+_GENERATOR = GeneratorConfig()
+_CV = CvConfig()
+_PROTOCOL = TrainingProtocol()
+_OPTIMIZER = OptimizerConfig()
+
+# key -> (parser, default).  Defaults are read from the config dataclasses,
+# so they live in one place; the resolved mapping is assembled back into
+# the dataclasses by build_config.
 CONFIG_KEYS: dict = {
-    "seed": (int, 0),
-    "trials": (int, 500),
-    "jobs": (int, 1),
-    "out": (str, "results"),
-    "models": (_parse_models, "spm,psychm,naive,elkan,real"),
-    "quantile_rule": (float, 0.05),
-    "resamples": (int, 200),
-    "generator.n": (int, 5000),
-    "generator.d": (int, 5),
-    "generator.rho1": (float, 10.0),
-    "generator.rho2": (float, 1.0),
-    "generator.k": (float, 5.0),
-    "generator.guess": (float, 0.05),
-    "generator.lapse": (float, 0.05),
-    "generator.x_dist": (XDist, "normal"),
-    "cv.folds": (int, 3),
-    "cv.grid_sel": (_parse_floats, "0,0.01,0.1,1,10"),
-    "cv.grid_tgt": (_parse_floats, "0,0.01,0.1,1,10"),
-    "cv.max_iters": (int, 200),  # 0: same budget as the final fit
+    "seed": (int, _EXPERIMENT.seed),
+    "trials": (int, _EXPERIMENT.trials),
+    "jobs": (int, _EXPERIMENT.jobs),
+    "out": (str, _EXPERIMENT.output_dir),
+    "models": (_parse_models, _EXPERIMENT.models),
+    "quantile_rule": (float, _EXPERIMENT.quantile_rule),
+    "resamples": (int, _EXPERIMENT.resamples),
+    "generator.n": (int, _GENERATOR.n),
+    "generator.d": (int, _GENERATOR.d),
+    "generator.rho1": (float, _GENERATOR.rho1),
+    "generator.rho2": (float, _GENERATOR.rho2),
+    "generator.k": (float, _GENERATOR.k),
+    "generator.guess": (float, _GENERATOR.guess),
+    "generator.lapse": (float, _GENERATOR.lapse),
+    "generator.x_dist": (XDist, _GENERATOR.x_dist),
+    "cv.folds": (int, _CV.folds),
+    "cv.grid_sel": (_parse_floats, _CV.grid_sel),
+    "cv.grid_tgt": (_parse_floats, _CV.grid_tgt),
+    "cv.max_iters": (int, _PROTOCOL.cv_max_iters),  # 0: same budget as the final fit
     "optimizer.method": (str, "auto"),  # auto | adam | nadam | lbfgs
-    "optimizer.step_size": (float, 1e-2),
-    "optimizer.max_iters": (int, 2000),
-    "optimizer.grad_tol": (float, 1e-6),
-    "optimizer.history_size": (int, 10),
-    "optimizer.moment_decays": (_parse_floats, "0.9,0.999"),
-    "reg.norm_sel": (PenaltyNorm, "l2sq"),
-    "reg.norm_tgt": (PenaltyNorm, "l2sq"),
-    "elkan.holdout_frac": (float, 0.2),
-    "psychm.init_guess": (float, 0.7),
-    "psychm.init_lapse": (float, 0.02),
-    "fit.n_starts": (int, 3),
+    "optimizer.step_size": (float, _OPTIMIZER.step_size),
+    "optimizer.max_iters": (int, _OPTIMIZER.max_iters),
+    "optimizer.grad_tol": (float, _OPTIMIZER.grad_tol),
+    "optimizer.history_size": (int, _OPTIMIZER.history_size),
+    "optimizer.moment_decays": (_parse_floats, _OPTIMIZER.moment_decays),
+    "reg.norm_sel": (PenaltyNorm, _PROTOCOL.norm_sel),
+    "reg.norm_tgt": (PenaltyNorm, _PROTOCOL.norm_tgt),
+    "elkan.holdout_frac": (float, _PROTOCOL.elkan_holdout),
+    "psychm.init_guess": (float, _PROTOCOL.psychm_init[0]),
+    "psychm.init_lapse": (float, _PROTOCOL.psychm_init[1]),
+    "fit.n_starts": (int, _PROTOCOL.n_starts),
 }
 
 _SHORT_FLAGS = {

@@ -140,10 +140,10 @@ class TrainingProtocol:
 
     cv: CvConfig = field(default_factory=CvConfig)
     optimizer: OptimizerConfig | None = None  # None: per-kind defaults
-    cv_max_iters: int | None = None  # shortened budget for CV fits
+    cv_max_iters: int | None = 200  # shortened budget for CV fits; None: the full budget
     elkan_holdout: float = 0.2
     psychm_init: tuple[float, float] = (0.7, 0.02)
-    n_starts: int = 1
+    n_starts: int = 3
     norm_sel: PenaltyNorm = PenaltyNorm.L2SQ
     norm_tgt: PenaltyNorm = PenaltyNorm.L2SQ
 
@@ -287,11 +287,19 @@ def _assign_target_factor(params: SpmParams) -> SpmParams:
     return SpmParams(selection=first, target=second)
 
 
-def _best_of_starts(data, kind, reg, opt, seed, n_starts, init_fn) -> OptimResult:
+def _best_of_starts(data, kind, reg, opt, seed, n_starts, rate_surrogates=()) -> OptimResult:
+    """Best of ``n_starts`` fits from Gaussian weights and zero biases, with
+    the rate surrogates, when the model has them, after the selection bias."""
     objective, gradient = make_loss_functions(data, kind, reg)
     best = None
     for start in range(n_starts):
-        result = minimize(objective, gradient, init_fn(_rng(seed, start)), opt)
+        rng = _rng(seed, start)
+        # Selection weights are drawn before target weights; the order fixes
+        # each start's stream.
+        sel_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
+        tgt_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
+        theta0 = np.concatenate([sel_w, [0.0, *rate_surrogates], tgt_w, [0.0]])
+        result = minimize(objective, gradient, theta0, opt)
         if best is None or result.loss < best.loss:
             best = result
     return best
@@ -308,16 +316,9 @@ def fit_spm(
 
     A non-converged optimizer is reported in the diagnostics, not raised.
     """
-    d = data.dim
-    opt = opt or default_optimizer(ModelKind.SPM, d)
-
-    def init(rng):
-        return np.concatenate(
-            [rng.normal(0.0, _INIT_SCALE, size=d), [0.0], rng.normal(0.0, _INIT_SCALE, size=d), [0.0]]
-        )
-
-    best = _best_of_starts(data, ModelKind.SPM, reg, opt, seed, n_starts, init)
-    ordered = _assign_target_factor(unpack_spm(best.params, d))
+    opt = opt or default_optimizer(ModelKind.SPM, data.dim)
+    best = _best_of_starts(data, ModelKind.SPM, reg, opt, seed, n_starts)
+    ordered = _assign_target_factor(unpack_spm(best.params, data.dim))
     return FittedModel(
         kind=ModelKind.SPM,
         target=ordered.target,
@@ -341,19 +342,8 @@ def fit_psychm(
         raise ValueError("need init_guess in (0,1), init_lapse in [0,1), sum < 1")
     d = data.dim
     opt = opt or default_optimizer(ModelKind.PSYCHM, d)
-    guess_raw, lapse_raw = unconstrain_rates(init_guess, init_lapse)
-
-    def init(rng):
-        return np.concatenate(
-            [
-                rng.normal(0.0, _INIT_SCALE, size=d),
-                [0.0, guess_raw, lapse_raw],
-                rng.normal(0.0, _INIT_SCALE, size=d),
-                [0.0],
-            ]
-        )
-
-    best = _best_of_starts(data, ModelKind.PSYCHM, reg, opt, seed, n_starts, init)
+    surrogates = unconstrain_rates(init_guess, init_lapse)
+    best = _best_of_starts(data, ModelKind.PSYCHM, reg, opt, seed, n_starts, surrogates)
     params = unpack_psychm(best.params, d)
     notes = ("selection rates are not identifiable with 1-dimensional features",) if d == 1 else ()
     return FittedModel(

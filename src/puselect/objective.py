@@ -29,6 +29,10 @@ keeps guess, lapse >= 0 and guess + lapse < 1 for every finite input, so
 the loss is defined on all of R^(2d+4) and plain unconstrained minimizers
 apply.  The subgradient of |.| at 0 is taken to be 0, as is the L1 penalty
 subgradient.
+
+The sigmoid product is the psychometric model with guess = lapse = 0, so
+one engine evaluates both: with the rates free (the psychometric layout)
+or fixed (the sigmoid-product layout, at (0, 0) for that model).
 """
 
 from __future__ import annotations
@@ -146,15 +150,6 @@ def unpack_psychm(theta: np.ndarray, dim: int) -> PsychmParams:
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    upper = 1.0 / (1.0 + np.exp(-np.abs(z)))
-    return np.where(z >= 0.0, upper, 1.0 - upper)
-
-
-def _clip(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP)
-
-
 def _penalty(w: np.ndarray, c: float, norm: PenaltyNorm) -> float:
     if c == 0.0:
         return 0.0
@@ -171,87 +166,73 @@ def _penalty_grad(w: np.ndarray, c: float, norm: PenaltyNorm) -> np.ndarray:
     return c * np.sign(w)
 
 
-class _BlockWork:
-    """Work arrays for the gradient pass over one block of rows, allocated
-    once per engine.  Fresh per-call temporaries of this size were handed
-    back to the operating system after every call on large data and faulted
-    back in on the next one, a fifth of a PsychM fit's time on 10 000 rows.
+def _engine_rates(kind: ModelKind):
+    """The sigmoid product is the psychometric model with its rates fixed
+    at (0, 0); the psychometric model's rates are free (None)."""
+    if kind == ModelKind.SPM:
+        return (0.0, 0.0)
+    if kind == ModelKind.PSYCHM:
+        return None
+    raise ValueError(f"loss is defined for SPM/PsychM only, got {kind}")
 
-    Per row: a holds z, then the upper sigmoid branch, the log terms and
-    dz; b the sigmoid; c the rate-mapped probabilities, then 1 - sigmoid;
-    d the derivative of the log-likelihood by each probability.
+
+class _BlockWork:
+    """Work arrays for one block of rows, allocated once per engine.  Fresh
+    per-call temporaries of this size were handed back to the operating
+    system after every call on large data and faulted back in on the next
+    one, a fifth of a PsychM fit's time on 10 000 rows.
+
+    Per row: a holds z, then an annotated block's log terms, then dz; s the
+    sigmoids; c the rate-mapped probabilities, then 1 - s; d the derivative
+    of the log-likelihood by each probability.  ``probs`` is s itself when
+    the rate map is skipped.  ``arg`` is what the log is taken of: the two
+    probabilities of an annotated row, 1 - their product for an unannotated
+    one; ``clipped`` holds it clamped, then the derivative of its log.
     """
 
-    def __init__(self, n: int):
-        self.a, self.b, self.c, self.d = (np.empty((n, 2)) for _ in range(4))
-        self.mask, self.mask2 = np.empty((n, 2), dtype=bool), np.empty((n, 2), dtype=bool)
-        self.u, self.v, self.w = np.empty(n), np.empty(n), np.empty(n)
-        self.umask, self.umask2 = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-
-
-def _sum_log_and_reciprocal(p, clipped, logs, inside, above) -> float:
-    """sum(log(clip(p))), leaving 1/clip(p) where p lies strictly inside
-    the clamp interval and 0 elsewhere in ``clipped``."""
-    np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP, out=clipped)
-    total = float(np.sum(np.log(clipped, out=logs)))
-    np.greater(p, LOG_CLAMP, out=inside)
-    np.less(p, 1.0 - LOG_CLAMP, out=above)
-    np.logical_and(inside, above, out=inside)
-    np.divide(1.0, clipped, out=clipped)
-    np.copyto(clipped, 0.0, where=np.logical_not(inside, out=inside))
-    return total
+    def __init__(self, n: int, annotated: bool, mapped: bool):
+        self.a, self.s, self.c, self.d = (np.empty((n, 2)) for _ in range(4))
+        self.u = np.empty(n)
+        self.probs = self.c if mapped else self.s
+        if annotated:
+            self.arg, self.clipped, self.logs = self.probs, self.d, self.a
+        else:
+            self.arg, self.clipped, self.logs = self.u, np.empty(n), np.empty(n)
+        self.inside = np.empty(self.arg.shape, dtype=bool)
+        self.above = np.empty(self.arg.shape, dtype=bool)
 
 
 class _Engine:
-    """Shared value/gradient computation for one (dataset, kind, penalties).
+    """Loss value and gradient for one (dataset, rates, penalties).
 
-    Rows are split once into annotated and unannotated blocks; the two
-    affine scores are computed by a single stacked matmul per block.  The
-    public `loss`/`loss_gradient` wrappers and the fast per-fit closures
-    both run through here, so they produce bit-identical numbers.  The
-    gradient pass writes its per-row intermediates into work arrays kept
-    for the engine's lifetime; every call returns a fresh gradient array.
+    ``rates`` is None when the guess/lapse surrogates are free parameters
+    (the psychometric layout) and a fixed (guess, lapse) pair otherwise
+    (the layout without surrogate slots); the sigmoid product is the pair
+    (0, 0).  Rows are split once into annotated and unannotated blocks; the
+    two affine scores are computed by a single stacked matmul per block.
+    `value` and `value_and_grad` share one forward pass, so they agree bit
+    for bit.  Per-row intermediates go into work arrays kept for the
+    engine's lifetime; every call returns a fresh gradient array.
     """
 
-    def __init__(self, data: Dataset, kind: ModelKind, reg: RegConfig, rates_override=None):
-        if kind not in (ModelKind.SPM, ModelKind.PSYCHM):
-            raise ValueError(f"loss is defined for SPM/PsychM only, got {kind}")
+    def __init__(self, data: Dataset, reg: RegConfig, rates):
         if data.n < 1:
             raise ValueError("dataset is empty")
-        self.kind = kind
         self.reg = reg
+        self.rates = rates
         self.d = data.dim
-        self.n_free = free_param_length(kind, self.d)
-        # (guess, lapse) used verbatim instead of the theta surrogates; lets
-        # the likelihood be evaluated at boundary rates the surrogate map
-        # cannot reach (guess + lapse == 1).
-        self.rates_override = rates_override
+        # Target weights start after the selection bias and, when the rates
+        # are free, after their two surrogates.
+        self.tgt = self.d + 1 if rates is not None else self.d + 3
+        self.n_free = self.tgt + self.d + 1
+        # guess + span * s is the identity at (0, 0): skip it there.
+        self.mapped = rates != (0.0, 0.0)
         pos = data.l == 1
-        self.x_pos = data.x[pos]
-        self.x_neg = data.x[~pos]
         self.blocks = [
-            (block, annotated, _BlockWork(block.shape[0]))
-            for block, annotated in ((self.x_pos, True), (self.x_neg, False))
+            (block, annotated, _BlockWork(block.shape[0], annotated, self.mapped))
+            for block, annotated in ((data.x[pos], True), (data.x[~pos], False))
             if block.shape[0]
         ]
-
-    def _rates(self, g_raw: float, l_raw: float) -> tuple[float, float]:
-        if self.rates_override is not None:
-            return self.rates_override
-        return constrain_rates(g_raw, l_raw)
-
-    def _split(self, theta: np.ndarray):
-        d = self.d
-        if self.kind == ModelKind.SPM:
-            return theta[:d], theta[d], theta[d + 1 : 2 * d + 1], theta[2 * d + 1], None, None
-        return (
-            theta[:d],
-            theta[d],
-            theta[d + 3 : 2 * d + 3],
-            theta[2 * d + 3],
-            theta[d + 1],
-            theta[d + 2],
-        )
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -259,77 +240,79 @@ class _Engine:
             raise ValueError(f"expected {self.n_free} free parameters, got {theta.shape}")
         return theta
 
-    def value(self, theta: np.ndarray) -> float:
-        theta = self._check(theta)
-        sel_w, sel_b, tgt_w, tgt_b, g_raw, l_raw = self._split(theta)
-        weights = np.column_stack((sel_w, tgt_w))
-        biases = np.array([sel_b, tgt_b])
+    def _forward(self, theta: np.ndarray) -> tuple[float, float]:
+        """Data log-likelihood and rate span at a checked theta; leaves each
+        block's intermediates in its work arrays."""
+        d, t = self.d, self.tgt
+        weights = np.column_stack((theta[:d], theta[t : t + d]))
+        biases = np.array([theta[d], theta[t + d]])
+        if self.rates is None:
+            guess, lapse = constrain_rates(theta[d + 1], theta[d + 2])
+        else:
+            guess, lapse = self.rates
+        span = 1.0 - guess - lapse
 
         total = 0.0
-        if self.x_pos.shape[0]:
-            probs = _sigmoid(self.x_pos @ weights + biases)
-            if g_raw is not None:
-                guess, lapse = self._rates(g_raw, l_raw)
-                probs[:, 0] = guess + (1.0 - guess - lapse) * probs[:, 0]
-            total += float(np.sum(np.log(_clip(probs))))
-        if self.x_neg.shape[0]:
-            probs = _sigmoid(self.x_neg @ weights + biases)
-            if g_raw is not None:
-                guess, lapse = self._rates(g_raw, l_raw)
-                probs[:, 0] = guess + (1.0 - guess - lapse) * probs[:, 0]
-            total += float(np.sum(np.log(_clip(1.0 - probs[:, 0] * probs[:, 1]))))
+        for block, annotated, work in self.blocks:
+            # sigmoid(z) is upper = 1 / (1 + exp(-|z|)) for z >= 0 and
+            # 1 - upper below, so exp never overflows.  upper lies in
+            # [0.5, 1], where upper - 0.5 and both results are exact, so
+            # 0.5 + copysign(upper - 0.5, z) picks the branch bit for bit
+            # without a data-dependent (mispredicted) select.
+            z = work.a
+            np.matmul(block, weights, out=z)
+            z += biases
+            raw = work.s
+            np.abs(z, out=raw)
+            np.negative(raw, out=raw)
+            np.exp(raw, out=raw)
+            np.add(1.0, raw, out=raw)
+            np.divide(1.0, raw, out=raw)
+            np.subtract(raw, 0.5, out=raw)
+            np.copysign(raw, z, out=raw)
+            np.add(raw, 0.5, out=raw)
+            probs = work.probs
+            if self.mapped:
+                probs[:, 1] = raw[:, 1]
+                np.multiply(span, raw[:, 0], out=probs[:, 0])
+                np.add(guess, probs[:, 0], out=probs[:, 0])
+            if not annotated:
+                miss = np.multiply(probs[:, 0], probs[:, 1], out=work.arg)
+                np.subtract(1.0, miss, out=miss)
+            np.clip(work.arg, LOG_CLAMP, 1.0 - LOG_CLAMP, out=work.clipped)
+            total += float(np.sum(np.log(work.clipped, out=work.logs)))
+        return total, span
 
+    def _penalized(self, theta: np.ndarray, total: float) -> float:
+        d, t = self.d, self.tgt
         value = -total
-        value += _penalty(sel_w, self.reg.c_sel, self.reg.norm_sel)
-        value += _penalty(tgt_w, self.reg.c_tgt, self.reg.norm_tgt)
+        value += _penalty(theta[:d], self.reg.c_sel, self.reg.norm_sel)
+        value += _penalty(theta[t : t + d], self.reg.c_tgt, self.reg.norm_tgt)
         return value
+
+    def value(self, theta: np.ndarray) -> float:
+        theta = self._check(theta)
+        return self._penalized(theta, self._forward(theta)[0])
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = self._check(theta)
-        sel_w, sel_b, tgt_w, tgt_b, g_raw, l_raw = self._split(theta)
-        weights = np.column_stack((sel_w, tgt_w))
-        biases = np.array([sel_b, tgt_b])
-        psychm = g_raw is not None
-        if psychm:
-            guess, lapse = self._rates(g_raw, l_raw)
-            span = 1.0 - guess - lapse
+        total, span = self._forward(theta)
+        free_rates = self.rates is None
 
-        total = 0.0
         grad_w = np.zeros((self.d, 2))
         grad_b = np.zeros(2)
         d_guess = 0.0
         d_lapse = 0.0
-
         for block, annotated, work in self.blocks:
-            # The operations of _sigmoid and _clip, in the same order, so
-            # value() and this pass agree bit for bit.
-            z, raw = work.a, work.b
-            np.matmul(block, weights, out=z)
-            z += biases
-            nonneg = np.greater_equal(z, 0.0, out=work.mask)
-            upper = z
-            np.abs(z, out=upper)
-            np.negative(upper, out=upper)
-            np.exp(upper, out=upper)
-            np.add(1.0, upper, out=upper)
-            np.divide(1.0, upper, out=upper)
-            np.subtract(1.0, upper, out=raw)
-            np.copyto(raw, upper, where=nonneg)
-            if psychm:
-                probs = work.c
-                probs[:, 1] = raw[:, 1]
-                np.multiply(span, raw[:, 0], out=probs[:, 0])
-                np.add(guess, probs[:, 0], out=probs[:, 0])
-            else:
-                probs = raw
-            dprob = work.d
-            if annotated:
-                total += _sum_log_and_reciprocal(probs, dprob, work.a, work.mask, work.mask2)
-            else:
-                miss = np.multiply(probs[:, 0], probs[:, 1], out=work.u)
-                np.subtract(1.0, miss, out=miss)
-                rest = work.v
-                total += _sum_log_and_reciprocal(miss, rest, work.w, work.umask, work.umask2)
+            # d log(clip(arg)) / d arg is 1 / clip(arg) strictly inside the
+            # clamp interval and 0 elsewhere.
+            inside = np.greater(work.arg, LOG_CLAMP, out=work.inside)
+            np.less(work.arg, 1.0 - LOG_CLAMP, out=work.above)
+            np.logical_and(inside, work.above, out=inside)
+            rest = np.divide(1.0, work.clipped, out=work.clipped)
+            np.copyto(rest, 0.0, where=np.logical_not(inside, out=inside))
+            probs, dprob, raw = work.probs, work.d, work.s
+            if not annotated:
                 np.negative(rest, out=rest)
                 np.multiply(rest, probs[:, 1], out=dprob[:, 0])
                 np.multiply(rest, probs[:, 0], out=dprob[:, 1])
@@ -337,41 +320,35 @@ class _Engine:
             np.multiply(dprob, raw, out=dz)
             np.subtract(1.0, raw, out=one_minus_raw)
             np.multiply(dz, one_minus_raw, out=dz)
-            if psychm:
+            if self.mapped:
                 dz[:, 0] *= span
+            if free_rates:
                 d_guess += float(np.sum(np.multiply(dprob[:, 0], one_minus_raw[:, 0], out=work.u)))
                 np.negative(raw[:, 0], out=work.u)
                 d_lapse += float(np.sum(np.multiply(dprob[:, 0], work.u, out=work.u)))
             grad_w += block.T @ dz
             grad_b += dz.sum(axis=0)
 
-        value = -total
-        value += _penalty(sel_w, self.reg.c_sel, self.reg.norm_sel)
-        value += _penalty(tgt_w, self.reg.c_tgt, self.reg.norm_tgt)
-
-        pen_sel = _penalty_grad(sel_w, self.reg.c_sel, self.reg.norm_sel)
-        pen_tgt = _penalty_grad(tgt_w, self.reg.c_tgt, self.reg.norm_tgt)
+        d, t = self.d, self.tgt
+        sel_w, tgt_w = theta[:d], theta[t : t + d]
         grad = np.empty(self.n_free)
-        d = self.d
-        grad[:d] = -grad_w[:, 0] + pen_sel
+        grad[:d] = -grad_w[:, 0] + _penalty_grad(sel_w, self.reg.c_sel, self.reg.norm_sel)
         grad[d] = -grad_b[0]
-        if psychm:
+        if free_rates:
             # Chain the rate gradients through the surrogate map: with
             # D = 1 + |g'| + |l'| the Jacobian entries are
             #   d guess / d g' = sign(g') (1 + |l'|) / D^2
             #   d lapse / d g' = -sign(g') |l'| / D^2
             # and symmetrically for l'; sign(0) = 0.
+            g_raw, l_raw = theta[d + 1], theta[d + 2]
             denom = (1.0 + abs(g_raw) + abs(l_raw)) ** 2
             d_g_raw = np.sign(g_raw) * ((1.0 + abs(l_raw)) * d_guess - abs(l_raw) * d_lapse) / denom
             d_l_raw = np.sign(l_raw) * ((1.0 + abs(g_raw)) * d_lapse - abs(g_raw) * d_guess) / denom
             grad[d + 1] = -d_g_raw
             grad[d + 2] = -d_l_raw
-            grad[d + 3 : 2 * d + 3] = -grad_w[:, 1] + pen_tgt
-            grad[2 * d + 3] = -grad_b[1]
-        else:
-            grad[d + 1 : 2 * d + 1] = -grad_w[:, 1] + pen_tgt
-            grad[2 * d + 1] = -grad_b[1]
-        return value, grad
+        grad[t : t + d] = -grad_w[:, 1] + _penalty_grad(tgt_w, self.reg.c_tgt, self.reg.norm_tgt)
+        grad[t + d] = -grad_b[1]
+        return self._penalized(theta, total), grad
 
 
 def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
@@ -381,7 +358,7 @@ def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
     them, so an optimizer that evaluates both at the same point pays for
     one forward pass.
     """
-    engine = _Engine(data, kind, reg)
+    engine = _Engine(data, reg, _engine_rates(kind))
     memo: dict = {"key": None, "value": None, "grad": None}
 
     def objective(theta) -> float:
@@ -401,26 +378,24 @@ def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
 
 
 def conditional_log_likelihood(data: Dataset, params: SpmParams | PsychmParams) -> float:
-    """Log-likelihood of the observed annotation flags given the features."""
+    """Log-likelihood of the observed annotation flags given the features.
+
+    The rates are fixed at the parameters' own (guess, lapse), which may lie
+    on the boundary guess + lapse = 1 that the surrogate map cannot reach.
+    """
     if data.dim != params.dim:
         raise ValueError(f"dataset dim {data.dim} != parameter dim {params.dim}")
-    if isinstance(params, PsychmParams):
-        sel, tgt = params.selection, params.target
-        theta = np.concatenate([sel.w, [sel.b, 0.0, 0.0], tgt.w, [tgt.b]])
-        engine = _Engine(
-            data, ModelKind.PSYCHM, RegConfig(), rates_override=(params.guess, params.lapse)
-        )
-    else:
-        theta = pack_spm(params)
-        engine = _Engine(data, ModelKind.SPM, RegConfig())
-    return -engine.value(theta)
+    rates = (params.guess, params.lapse) if isinstance(params, PsychmParams) else (0.0, 0.0)
+    sel, tgt = params.selection, params.target
+    theta = np.concatenate([sel.w, [sel.b], tgt.w, [tgt.b]])
+    return -_Engine(data, RegConfig(), rates).value(theta)
 
 
 def loss(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> float:
     """Negative log-likelihood plus the two weight penalties."""
-    return _Engine(data, kind, reg).value(theta)
+    return _Engine(data, reg, _engine_rates(kind)).value(theta)
 
 
 def loss_gradient(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> np.ndarray:
     """Gradient of :func:`loss` with respect to the free parameter vector."""
-    return _Engine(data, kind, reg).value_and_grad(theta)[1]
+    return _Engine(data, reg, _engine_rates(kind)).value_and_grad(theta)[1]

@@ -192,7 +192,6 @@ def _two_loop(g: np.ndarray, s_hist, y_hist, rho_hist) -> np.ndarray:
 
 
 _ARMIJO = 1e-4
-_BACKTRACK = 0.5
 _MAX_HALVINGS = 40
 _MAX_INTERP_STEP = 10.0
 

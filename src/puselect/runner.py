@@ -31,7 +31,7 @@ from .metrics import (
     score_report,
     significance_matrix,
 )
-from .models import ModelKind, PsychmParams, SpmParams
+from .models import ModelKind, PsychmParams
 from .synth import GeneratorConfig, generate
 
 __all__ = [
@@ -127,22 +127,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
-
-
-def _params_json(params) -> dict:
-    if isinstance(params, PsychmParams):
-        return {
-            "selection": {"w": params.selection.w.tolist(), "b": params.selection.b},
-            "guess": params.guess,
-            "lapse": params.lapse,
-            "target": {"w": params.target.w.tolist(), "b": params.target.b},
-        }
-    if isinstance(params, SpmParams):
-        return {
-            "selection": {"w": params.selection.w.tolist(), "b": params.selection.b},
-            "target": {"w": params.target.w.tolist(), "b": params.target.b},
-        }
-    raise TypeError(f"unsupported params {type(params)}")
 
 
 def _check_writable(output_dir: str) -> Path:
@@ -320,7 +304,7 @@ def generate_dataset(cfg: ExperimentConfig, out_path) -> Dataset:
     sidecar = {
         "config": _jsonable(cfg.generator),
         "seed": cfg.generator.seed,
-        "true_params": _params_json(data.true_params),
+        "true_params": _model_params_json(data.true_params),
     }
     out_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return data
@@ -333,15 +317,16 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def _model_params_json(model: FittedModel) -> dict:
-    out = {"target": {"w": model.target.w.tolist(), "b": model.target.b}}
-    if model.selection is not None:
-        out["selection"] = {"w": model.selection.w.tolist(), "b": model.selection.b}
-    if model.guess is not None:
-        out["guess"] = model.guess
-        out["lapse"] = model.lapse
-    if model.c_hat is not None:
-        out["c_hat"] = model.c_hat
+def _model_params_json(params: FittedModel | PsychmParams) -> dict:
+    """Weights and rates of a fitted model or of a generator's ground truth."""
+    out = {"target": {"w": params.target.w.tolist(), "b": params.target.b}}
+    if params.selection is not None:
+        out["selection"] = {"w": params.selection.w.tolist(), "b": params.selection.b}
+    if params.guess is not None:
+        out["guess"] = params.guess
+        out["lapse"] = params.lapse
+    if getattr(params, "c_hat", None) is not None:
+        out["c_hat"] = params.c_hat
     return out
 
 

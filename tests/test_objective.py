@@ -308,16 +308,24 @@ class TestLossGradient(FiniteDifferenceMixin):
 
 
 class TestFastClosures:
-    def test_fused_matches_reference(self):
+    @pytest.mark.parametrize("flags", ["mixed", "all", "none"])
+    @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM], ids=["spm", "psychm"])
+    def test_fused_matches_reference(self, kind, flags):
+        # The value-only pass and the gradient pass must agree bit for bit.
+        # All-annotated and none-annotated data give the engine one row block.
         rng = np.random.default_rng(11)
         data = _random_dataset(rng, n=30, d=3)
+        if flags != "mixed":
+            data = Dataset(x=data.x, l=np.full(data.n, int(flags == "all")))
         reg = RegConfig(c_sel=0.2, c_tgt=0.1)
-        objective, gradient = make_loss_functions(data, ModelKind.PSYCHM, reg)
+        objective, gradient = make_loss_functions(data, kind, reg)
         for _ in range(5):
-            theta = _random_theta(rng, ModelKind.PSYCHM, 3)
+            theta = _random_theta(rng, kind, 3)
+            probe = objective(theta)
             g = gradient(theta)
-            assert objective(theta) == loss(data, ModelKind.PSYCHM, theta, reg)
-            np.testing.assert_array_equal(g, loss_gradient(data, ModelKind.PSYCHM, theta, reg))
+            assert probe == loss(data, kind, theta, reg)
+            assert objective(theta) == loss(data, kind, theta, reg)
+            np.testing.assert_array_equal(g, loss_gradient(data, kind, theta, reg))
 
     @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM])
     def test_repeated_calls_are_independent(self, kind):

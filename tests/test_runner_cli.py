@@ -211,6 +211,10 @@ class TestConfigFile:
         assert cfg.protocol.cv.grid_sel == (0.0, 0.01, 0.1, 1.0, 10.0)
         assert cfg.generator.n == 5000 and cfg.generator.d == 5
 
+    def test_defaults_are_the_dataclass_defaults(self):
+        # The CLI and library callers share one source of defaults.
+        assert build_config({}) == ExperimentConfig()
+
     def test_optimizer_override(self):
         cfg = build_config({"optimizer.method": "nadam", "optimizer.step_size": "0.2"})
         assert cfg.protocol.optimizer.method == Method.NADAM
