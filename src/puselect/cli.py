@@ -81,7 +81,7 @@ CONFIG_KEYS: dict = {
     "cv.grid_sel": (_parse_floats, _CV.grid_sel),
     "cv.grid_tgt": (_parse_floats, _CV.grid_tgt),
     "cv.max_iters": (int, _PROTOCOL.cv_max_iters),  # 0: same budget as the final fit
-    "optimizer.method": (str, "auto"),  # auto | adam | nadam | lbfgs
+    "optimizer.method": (str, "auto"),  # auto | adam | lbfgs
     "optimizer.step_size": (float, _OPTIMIZER.step_size),
     "optimizer.max_iters": (int, _OPTIMIZER.max_iters),
     "optimizer.grad_tol": (float, _OPTIMIZER.grad_tol),
@@ -150,6 +150,12 @@ def build_config(raw: dict) -> ExperimentConfig:
         seed=r["seed"],
     )
     if r["optimizer.method"] == "auto":
+        ignored = sorted(k for k in raw if k.startswith("optimizer.") and k != "optimizer.method")
+        if ignored:
+            raise ValueError(
+                f"config keys {', '.join(ignored)} need optimizer.method set to adam or lbfgs; "
+                "under optimizer.method=auto each model uses its own optimizer defaults"
+            )
         optimizer = None
     else:
         optimizer = OptimizerConfig(
@@ -256,8 +262,7 @@ def main(argv=None) -> int:
 def _print_table(table, cfg: ExperimentConfig) -> None:
     if table.non_converged_fits:
         print(
-            f"warning: {table.non_converged_fits} fits stopped at the iteration "
-            "cap without reaching the gradient tolerance",
+            f"warning: {table.non_converged_fits} fits did not reach the gradient tolerance",
             file=sys.stderr,
         )
     header = ["metric"] + [k.value for k in cfg.models]

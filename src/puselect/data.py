@@ -73,6 +73,16 @@ class Dataset:
         )
 
 
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """Philox stream of ``seed`` under the spawn key ``key``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _derive_seed(seed: int, *key: int) -> int:
+    """A child seed of ``seed`` under the spawn key ``key``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint64)[0])
+
+
 def split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint row partition after a seeded shuffle.
 
@@ -85,8 +95,7 @@ def split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     n_first = int(data.n * fraction)
     if n_first < 1 or data.n - n_first < 1:
         raise ValueError(f"split of {data.n} rows at fraction {fraction} leaves an empty part")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    perm = rng.permutation(data.n)
+    perm = _rng(seed).permutation(data.n)
     return data.subset(perm[:n_first]), data.subset(perm[n_first:])
 
 

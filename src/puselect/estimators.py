@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .data import Dataset, split
+from .data import Dataset, _derive_seed, _rng, split
 from .metrics import brier
 from .models import (
     LinearParams,
@@ -117,8 +117,7 @@ class FittedModel:
 
 def default_optimizer(kind: ModelKind, dim: int) -> OptimizerConfig:
     """Per-model defaults: Adam for the psychometric fit, quasi-Newton for the
-    sigmoid product in low dimension (Nadam above 50), quasi-Newton for the
-    convex logistic baselines.
+    sigmoid product and for the convex logistic baselines.
 
     Step size and iteration budgets are calibrated to the benchmark scale:
     fitted weights reach magnitudes of 10..30, which Adam at the generic
@@ -127,8 +126,6 @@ def default_optimizer(kind: ModelKind, dim: int) -> OptimizerConfig:
     """
     if kind == ModelKind.PSYCHM:
         return OptimizerConfig(method=Method.ADAM, step_size=0.05, max_iters=1500)
-    if kind == ModelKind.SPM and dim > 50:
-        return OptimizerConfig(method=Method.NADAM, step_size=0.05, max_iters=1500)
     if kind == ModelKind.SPM:
         return OptimizerConfig(method=Method.LBFGS, max_iters=150)
     return OptimizerConfig(method=Method.LBFGS, max_iters=200)
@@ -159,19 +156,11 @@ class TrainingProtocol:
         """
         opt = self.optimizer_for(kind, dim)
         if self.cv_max_iters is not None:
-            budget = self.cv_max_iters if opt.method in (Method.ADAM, Method.NADAM) else max(
+            budget = self.cv_max_iters if opt.method == Method.ADAM else max(
                 1, self.cv_max_iters // 3
             )
             opt = replace(opt, max_iters=min(budget, opt.max_iters))
         return opt
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def _derive_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint64)[0])
 
 
 def _diag(result: OptimResult, notes: tuple[str, ...] = ()) -> FitDiagnostics:
@@ -189,30 +178,37 @@ def _diag(result: OptimResult, notes: tuple[str, ...] = ()) -> FitDiagnostics:
 
 
 def _logistic_value_grad(X, targets, c_w, norm_w):
-    def value(theta):
-        p = sigmoid(X @ theta[:-1] + theta[-1])
+    """Penalized negative log-likelihood of a logistic regression, as the
+    optimizer's (value, value_and_grad) pair over one forward pass."""
+
+    def forward(theta):
+        w = theta[:-1]
+        p = sigmoid(X @ w + theta[-1])
         p_c = np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP)
         nll = -float(np.sum(targets * np.log(p_c) + (1 - targets) * np.log(1.0 - p_c)))
         if norm_w == PenaltyNorm.L2SQ:
-            return nll + c_w * float(theta[:-1] @ theta[:-1])
-        return nll + c_w * float(np.sum(np.abs(theta[:-1])))
+            return nll + c_w * float(w @ w), p
+        return nll + c_w * float(np.sum(np.abs(w))), p
 
-    def grad(theta):
-        p = sigmoid(X @ theta[:-1] + theta[-1])
+    def value(theta):
+        return forward(theta)[0]
+
+    def value_and_grad(theta):
+        f, p = forward(theta)
         dz = np.where((p > LOG_CLAMP) & (p < 1.0 - LOG_CLAMP), p - targets, 0.0)
         gw = X.T @ dz
         gw += 2.0 * c_w * theta[:-1] if norm_w == PenaltyNorm.L2SQ else c_w * np.sign(theta[:-1])
-        return np.concatenate([gw, [float(np.sum(dz))]])
+        return f, np.concatenate([gw, [float(np.sum(dz))]])
 
-    return value, grad
+    return value, value_and_grad
 
 
 def _fit_logistic(X, targets, c_w, norm_w, opt: OptimizerConfig) -> tuple[LinearParams, OptimResult]:
     # The problem is convex, so the zero start is as good as any and keeps
     # the baselines seed-independent.
     theta0 = np.zeros(X.shape[1] + 1)
-    value, grad = _logistic_value_grad(X, targets, c_w, norm_w)
-    result = minimize(value, grad, theta0, opt)
+    value, value_and_grad = _logistic_value_grad(X, targets, c_w, norm_w)
+    result = minimize(value, value_and_grad, theta0, opt)
     return LinearParams(w=result.params[:-1], b=result.params[-1]), result
 
 
@@ -290,7 +286,7 @@ def _assign_target_factor(params: SpmParams) -> SpmParams:
 def _best_of_starts(data, kind, reg, opt, seed, n_starts, rate_surrogates=()) -> OptimResult:
     """Best of ``n_starts`` fits from Gaussian weights and zero biases, with
     the rate surrogates, when the model has them, after the selection bias."""
-    objective, gradient = make_loss_functions(data, kind, reg)
+    value, value_and_grad = make_loss_functions(data, kind, reg)
     best = None
     for start in range(n_starts):
         rng = _rng(seed, start)
@@ -299,7 +295,7 @@ def _best_of_starts(data, kind, reg, opt, seed, n_starts, rate_surrogates=()) ->
         sel_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
         tgt_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
         theta0 = np.concatenate([sel_w, [0.0, *rate_surrogates], tgt_w, [0.0]])
-        result = minimize(objective, gradient, theta0, opt)
+        result = minimize(value, value_and_grad, theta0, opt)
         if best is None or result.loss < best.loss:
             best = result
     return best
@@ -402,6 +398,11 @@ def select_hyperparams(
         raise ValueError(f"need at least {cv.folds} rows for {cv.folds}-fold CV")
     perm = _rng(seed, 0).permutation(data.n)
     folds = np.array_split(perm, cv.folds)
+    # (train, validation) per fold, built once for the whole grid.
+    fold_data = [
+        (data.subset(np.concatenate(folds[:f] + folds[f + 1 :])), data.subset(val_idx))
+        for f, val_idx in enumerate(folds)
+    ]
 
     has_selection = kind in (ModelKind.SPM, ModelKind.PSYCHM)
     cache: dict[tuple, float | None] = {}
@@ -414,15 +415,13 @@ def select_hyperparams(
             c_sel=c_sel, c_tgt=c_tgt, norm_sel=protocol.norm_sel, norm_tgt=protocol.norm_tgt
         )
         scores = []
-        for f, val_idx in enumerate(folds):
-            train_idx = np.concatenate([folds[j] for j in range(cv.folds) if j != f])
+        for f, (train, val) in enumerate(fold_data):
             fit_seed = _derive_seed(seed, 1, *key, f)
             try:
-                model = _fit_kind(data.subset(train_idx), kind, reg, opt, fit_seed, protocol)
+                model = _fit_kind(train, kind, reg, opt, fit_seed, protocol)
             except (DegenerateDataError, NonFiniteError):
                 cache[key] = None
                 return None
-            val = data.subset(val_idx)
             scores.append(brier(model.annotation_probability(val.x), val.l))
         cache[key] = float(np.mean(scores))
         return cache[key]

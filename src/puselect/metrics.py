@@ -31,7 +31,9 @@ LOWER_IS_BETTER = ("brier",)
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Scores of one model on one trial; auc is None when the test truth is single-class."""
+    """Scores of one model on one trial; auc is None when the test truth is
+    single-class.  ``converged`` is the fit's diagnostic, counted in the
+    aggregate but not written per row."""
 
     model: ModelKind
     trial_id: int
@@ -39,6 +41,7 @@ class MetricReport:
     accuracy: float
     auc: float | None
     brier: float
+    converged: bool = True
 
 
 def _pair(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -352,29 +352,9 @@ class _Engine:
 
 
 def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
-    """Fast (objective, gradient) closures for the optimizer.
-
-    The gradient call computes value and gradient together and memoizes
-    them, so an optimizer that evaluates both at the same point pays for
-    one forward pass.
-    """
+    """The (value, value_and_grad) pair that the optimizer minimizes."""
     engine = _Engine(data, reg, _engine_rates(kind))
-    memo: dict = {"key": None, "value": None, "grad": None}
-
-    def objective(theta) -> float:
-        key = np.asarray(theta, dtype=float).tobytes()
-        if memo["key"] == key:
-            return memo["value"]
-        return engine.value(theta)
-
-    def gradient(theta) -> np.ndarray:
-        value, grad = engine.value_and_grad(theta)
-        memo["key"] = np.asarray(theta, dtype=float).tobytes()
-        memo["value"] = value
-        memo["grad"] = grad
-        return grad
-
-    return objective, gradient
+    return engine.value, engine.value_and_grad
 
 
 def conditional_log_likelihood(data: Dataset, params: SpmParams | PsychmParams) -> float:

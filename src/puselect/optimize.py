@@ -1,9 +1,12 @@
 """First-order unconstrained minimizers shared by all fitting procedures.
 
-Three methods behind one contract: Adam, Nadam (Adam with a Nesterov
-momentum correction), and L-BFGS with a backtracking Armijo line search.
-Every run is deterministic in (init, config), keeps the best iterate seen,
-and reports whether the gradient-norm tolerance was met.
+Two methods behind one contract: Adam, and L-BFGS with a backtracking
+Armijo line search.  The caller supplies ``value(x) -> f`` and
+``value_and_grad(x) -> (f, g)``.  Each iterate (the start, every Adam
+step, every accepted L-BFGS point) costs exactly one ``value_and_grad``
+call; only the L-BFGS line-search probes call ``value``.  Every run is
+deterministic in (init, config), keeps the best iterate seen, and reports
+whether the gradient-norm tolerance was met.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ __all__ = ["Method", "OptimizerConfig", "OptimResult", "NonFiniteError", "minimi
 
 class Method(Enum):
     ADAM = "adam"
-    NADAM = "nadam"
     LBFGS = "lbfgs"
 
 
@@ -70,11 +72,9 @@ class _Best:
             self.x, self.f, self.gnorm = x.copy(), f, gnorm
 
 
-def _eval(objective, gradient, x: np.ndarray) -> tuple[float, np.ndarray]:
-    # Gradient first: fused objective/gradient pairs memoize the value
-    # computed alongside the gradient, making the objective call free.
-    g = np.asarray(gradient(x), dtype=float)
-    f = float(objective(x))
+def _eval(value_and_grad, x: np.ndarray) -> tuple[float, np.ndarray]:
+    f, g = value_and_grad(x)
+    f, g = float(f), np.asarray(g, dtype=float)
     if not np.isfinite(f):
         raise NonFiniteError(f"objective is {f} at iterate", x)
     if not np.all(np.isfinite(g)):
@@ -82,7 +82,7 @@ def _eval(objective, gradient, x: np.ndarray) -> tuple[float, np.ndarray]:
     return f, g
 
 
-def minimize(objective, gradient, init, cfg: OptimizerConfig) -> OptimResult:
+def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
     """Minimize a smooth function from ``init``.
 
     Stops once the current gradient norm drops to ``cfg.grad_tol`` or the
@@ -93,15 +93,15 @@ def minimize(objective, gradient, init, cfg: OptimizerConfig) -> OptimResult:
     x = np.array(init, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("initial point is not finite", x)
-    f, g = _eval(objective, gradient, x)
+    f, g = _eval(value_and_grad, x)
     best = _Best(x, f, float(np.linalg.norm(g)))
     iterations = 0
 
     if best.gnorm > cfg.grad_tol:
-        if cfg.method in (Method.ADAM, Method.NADAM):
-            iterations = _adaptive_moment(objective, gradient, x, f, g, cfg, best)
+        if cfg.method == Method.ADAM:
+            iterations = _adam(value_and_grad, x, g, cfg, best)
         else:
-            iterations = _lbfgs(objective, gradient, x, f, g, cfg, best)
+            iterations = _lbfgs(value, value_and_grad, x, f, g, cfg, best)
 
     return OptimResult(
         params=best.x,
@@ -112,9 +112,8 @@ def minimize(objective, gradient, init, cfg: OptimizerConfig) -> OptimResult:
     )
 
 
-def _adaptive_moment(objective, gradient, x, f, g, cfg: OptimizerConfig, best: _Best) -> int:
+def _adam(value_and_grad, x, g, cfg: OptimizerConfig, best: _Best) -> int:
     b1, b2 = cfg.moment_decays
-    nesterov = cfg.method == Method.NADAM
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     for it in range(1, cfg.max_iters + 1):
@@ -122,10 +121,8 @@ def _adaptive_moment(objective, gradient, x, f, g, cfg: OptimizerConfig, best: _
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**it)
         v_hat = v / (1.0 - b2**it)
-        if nesterov:
-            m_hat = b1 * m_hat + (1.0 - b1) * g / (1.0 - b1**it)
         x = x - cfg.step_size * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        f, g = _eval(objective, gradient, x)
+        f, g = _eval(value_and_grad, x)
         gnorm = float(np.linalg.norm(g))
         best.offer(x, f, gnorm)
         if gnorm <= cfg.grad_tol:
@@ -133,7 +130,7 @@ def _adaptive_moment(objective, gradient, x, f, g, cfg: OptimizerConfig, best: _
     return cfg.max_iters
 
 
-def _lbfgs(objective, gradient, x, f, g, cfg: OptimizerConfig, best: _Best) -> int:
+def _lbfgs(value, value_and_grad, x, f, g, cfg: OptimizerConfig, best: _Best) -> int:
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
@@ -148,13 +145,11 @@ def _lbfgs(objective, gradient, x, f, g, cfg: OptimizerConfig, best: _Best) -> i
             direction = -g
             slope = -float(g @ g)
 
-        step, f_new = _backtrack(objective, x, f, direction, slope)
+        step = _backtrack(value, x, f, direction, slope)
         if step == 0.0:
             return it - 1  # line search stalled; best iterate already recorded
         x_new = x + step * direction
-        g_new = np.asarray(gradient(x_new), dtype=float)
-        if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
-            raise NonFiniteError("objective or gradient non-finite at iterate", x_new)
+        f_new, g_new = _eval(value_and_grad, x_new)
         gnorm = float(np.linalg.norm(g_new))
         best.offer(x_new, f_new, gnorm)
 
@@ -196,7 +191,7 @@ _MAX_HALVINGS = 40
 _MAX_INTERP_STEP = 10.0
 
 
-def _backtrack(objective, x, f, direction, slope):
+def _backtrack(value, x, f, direction, slope) -> float:
     """Backtracking Armijo line search with quadratic interpolation.
 
     The unit step is probed along with the minimizer of the quadratic
@@ -205,14 +200,14 @@ def _backtrack(objective, x, f, direction, slope):
     it exact on quadratic objectives (so the quasi-Newton loop terminates
     in about `dim` iterations there) without letting a wildly wrong model
     collapse the step on strongly non-quadratic ones.  Otherwise a
-    safeguarded interpolating shrink takes over.  Returns (step, value);
-    step 0.0 signals a stall.
+    safeguarded interpolating shrink takes over.  Returns the step; 0.0
+    signals a stall.
     """
 
     def admissible(step, value):
         return np.isfinite(value) and value <= f + _ARMIJO * step * slope
 
-    f_unit = float(objective(x + direction))
+    f_unit = float(value(x + direction))
     candidates = []
     if admissible(1.0, f_unit):
         candidates.append((1.0, f_unit))
@@ -220,7 +215,7 @@ def _backtrack(objective, x, f, direction, slope):
     if curvature > 0.0:
         step_q = min(-slope / curvature, _MAX_INTERP_STEP)
         if step_q > 0.0 and step_q != 1.0:
-            f_q = float(objective(x + step_q * direction))
+            f_q = float(value(x + step_q * direction))
             if admissible(step_q, f_q):
                 predicted = f + slope * step_q + 0.5 * curvature * step_q**2
                 model_ok = abs(f_q - predicted) <= 1e-6 * (abs(f) + abs(f_q)) + 1e-12
@@ -232,14 +227,14 @@ def _backtrack(objective, x, f, direction, slope):
         # pairs were rejected); march forward while the value keeps falling.
         step, f_step = 1.0, f_unit
         for _ in range(10):
-            f_next = float(objective(x + 2.0 * step * direction))
+            f_next = float(value(x + 2.0 * step * direction))
             if admissible(2.0 * step, f_next) and f_next < f_step:
                 step, f_step = 2.0 * step, f_next
             else:
                 break
         candidates.append((step, f_step))
     if candidates:
-        return min(candidates, key=lambda c: c[1])
+        return min(candidates, key=lambda c: c[1])[0]
 
     # Shrink with one-point interpolation, clipped to [0.1 t, 0.5 t] so the
     # step neither collapses nor stagnates.
@@ -248,7 +243,7 @@ def _backtrack(objective, x, f, direction, slope):
         denom = 2.0 * (f_step - f - slope * step) if np.isfinite(f_step) else 0.0
         proposal = -slope * step * step / denom if denom > 0.0 else 0.5 * step
         step = min(max(proposal, 0.1 * step), 0.5 * step)
-        f_step = float(objective(x + step * direction))
+        f_step = float(value(x + step * direction))
         if admissible(step, f_step):
-            return step, f_step
-    return 0.0, f
+            return step
+    return 0.0

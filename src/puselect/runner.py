@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, read_csv, split, write_csv
-from .estimators import FittedModel, TrainingProtocol, _derive_seed, _rng, train_model
+from .data import Dataset, _derive_seed, _rng, read_csv, split, write_csv
+from .estimators import FittedModel, TrainingProtocol, train_model
 from .metrics import (
     LOWER_IS_BETTER,
     METRIC_NAMES,
@@ -145,7 +145,6 @@ def _aggregate(
     reports: list[MetricReport],
     models: tuple[ModelKind, ...],
     quantile_rule: float,
-    non_converged: int,
 ) -> ResultTable:
     by_model = {kind: [r for r in reports if r.model == kind] for kind in models}
     n_trials = {kind: len(rs) for kind, rs in by_model.items()}
@@ -181,6 +180,7 @@ def _aggregate(
         else:
             significance[metric] = None
 
+    non_converged = sum(not r.converged for r in reports)
     return ResultTable(
         cells=cells, significance=significance, reports=reports, non_converged_fits=non_converged
     )
@@ -228,16 +228,23 @@ def _map_units(task, units: int, jobs: int) -> list:
         return list(pool.map(task, range(units)))
 
 
-def _run_synth_trial(cfg: ExperimentConfig, trial_id: int) -> tuple[list[MetricReport], int]:
+def _train_and_score(
+    train: Dataset, test: Dataset, kinds, protocol: TrainingProtocol, seed: int, unit: int
+) -> list[MetricReport]:
+    """Train every model of one trial or resample and score it on the test rows."""
+    reports = []
+    for k_idx, kind in enumerate(kinds):
+        model = train_model(train, kind, protocol, seed=_derive_seed(seed, unit, 2, k_idx))
+        report = score_report(kind, unit, model.score(test.x), test.y)
+        reports.append(replace(report, converged=model.diagnostics.converged))
+    return reports
+
+
+def _run_synth_trial(cfg: ExperimentConfig, trial_id: int) -> list[MetricReport]:
     gen_cfg = replace(cfg.generator, seed=_derive_seed(cfg.seed, trial_id, 0))
     data = generate(gen_cfg)
     train, test = split(data, 0.5, seed=_derive_seed(cfg.seed, trial_id, 1))
-    reports, warn = [], 0
-    for k_idx, kind in enumerate(cfg.models):
-        model = train_model(train, kind, cfg.protocol, seed=_derive_seed(cfg.seed, trial_id, 2, k_idx))
-        warn += 0 if model.diagnostics.converged else 1
-        reports.append(score_report(kind, trial_id, model.score(test.x), test.y))
-    return reports, warn
+    return _train_and_score(train, test, cfg.models, cfg.protocol, cfg.seed, trial_id)
 
 
 def run_synth_benchmark(cfg: ExperimentConfig) -> ResultTable:
@@ -245,9 +252,8 @@ def run_synth_benchmark(cfg: ExperimentConfig) -> ResultTable:
     CV-selected penalties per model; scores on the ground-truth test pairs."""
     out = _check_writable(cfg.output_dir)
     outcomes = _map_units(partial(_run_synth_trial, cfg), cfg.trials, cfg.jobs)
-    reports = [r for trial_reports, _ in outcomes for r in trial_reports]
-    non_converged = sum(w for _, w in outcomes)
-    table = _aggregate(reports, cfg.models, cfg.quantile_rule, non_converged)
+    reports = [r for trial_reports in outcomes for r in trial_reports]
+    table = _aggregate(reports, cfg.models, cfg.quantile_rule)
     _write_outputs(out, "bench-synth", cfg, table, "trials.csv")
     return table
 
@@ -257,11 +263,7 @@ def _run_resample(
 ) -> list[MetricReport]:
     sample = data.subset(_rng(seed, r, 0).integers(0, data.n, size=data.n))
     train, test = split(sample, 0.5, seed=_derive_seed(seed, r, 1))
-    reports = []
-    for k_idx, kind in enumerate(kinds):
-        model = train_model(train, kind, protocol, seed=_derive_seed(seed, r, 2, k_idx))
-        reports.append(score_report(kind, r, model.score(test.x), test.y))
-    return reports
+    return _train_and_score(train, test, kinds, protocol, seed, r)
 
 
 def bootstrap_evaluate(
@@ -291,7 +293,7 @@ def run_real_benchmark(cfg: ExperimentConfig, dataset_path) -> ResultTable:
     if data.y is None:
         raise ValueError(f"{dataset_path}: real benchmark needs a y column")
     reports = bootstrap_evaluate(data, cfg.models, cfg.resamples, cfg.protocol, cfg.seed, cfg.jobs)
-    table = _aggregate(reports, cfg.models, cfg.quantile_rule, 0)
+    table = _aggregate(reports, cfg.models, cfg.quantile_rule)
     _write_outputs(out, "bench-real", cfg, table, "resamples.csv")
     return table
 

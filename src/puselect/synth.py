@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _rng
 from .models import LinearParams, PsychmParams, affine_sigmoid, psychometric
 
 __all__ = ["XDist", "GeneratorConfig", "sample_params", "generate"]
@@ -54,10 +54,6 @@ class GeneratorConfig:
             raise ValueError("rho1, rho2, k must be nonnegative")
 
 
-def _stream(seed: int, key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(key,))))
-
-
 def _shifted_gaussian(rng: np.random.Generator, d: int, rho: float, k: float) -> np.ndarray:
     gauss = rng.normal(0.0, rho, size=d)
     rademacher = rng.integers(0, 2, size=d) * 2 - 1
@@ -66,7 +62,7 @@ def _shifted_gaussian(rng: np.random.Generator, d: int, rho: float, k: float) ->
 
 def sample_params(cfg: GeneratorConfig) -> PsychmParams:
     """Draw ground-truth parameters: selection weights/bias first, then target."""
-    rng = _stream(cfg.seed, _PARAMS_STREAM)
+    rng = _rng(cfg.seed, _PARAMS_STREAM)
     sel_w = _shifted_gaussian(rng, cfg.d, cfg.rho1, cfg.k)
     tgt_w = _shifted_gaussian(rng, cfg.d, cfg.rho1, cfg.k)
     sel_b = rng.normal(0.0, cfg.rho2)
@@ -90,18 +86,18 @@ def generate(cfg: GeneratorConfig, params: PsychmParams | None = None) -> Datase
     elif params.dim != cfg.d:
         raise ValueError(f"params dim {params.dim} != config d {cfg.d}")
 
-    x_rng = _stream(cfg.seed, _X_STREAM)
+    x_rng = _rng(cfg.seed, _X_STREAM)
     if cfg.x_dist == XDist.STANDARD_NORMAL:
         x = x_rng.normal(0.0, 1.0, size=(cfg.n, cfg.d))
     else:
         x = x_rng.uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
 
     t = affine_sigmoid(x, params.target.w, params.target.b)
-    y = (_stream(cfg.seed, _Y_STREAM).random(cfg.n) < t).astype(np.int64)
+    y = (_rng(cfg.seed, _Y_STREAM).random(cfg.n) < t).astype(np.int64)
 
     sel = params.selection
     s = psychometric(x, sel.w, sel.b, params.guess, params.lapse)
-    annotate = _stream(cfg.seed, _L_STREAM).random(cfg.n) < s
+    annotate = _rng(cfg.seed, _L_STREAM).random(cfg.n) < s
     l = (annotate & (y == 1)).astype(np.int64)
 
     return Dataset(x=x, l=l, y=y, true_params=params)

@@ -195,14 +195,14 @@ class TestFitSpm:
 
     def test_swapped_initialization_same_assignment(self):
         data = generate(GeneratorConfig(n=1500, d=2, seed=16))
-        objective, gradient = make_loss_functions(data, ModelKind.SPM, REG0)
+        value, value_and_grad = make_loss_functions(data, ModelKind.SPM, REG0)
         opt = OptimizerConfig(method=Method.LBFGS, max_iters=150)
         rng = np.random.default_rng(17)
         w1, w2 = rng.normal(0, 0.1, 2), rng.normal(0, 0.1, 2)
         init = np.concatenate([w1, [0.0], w2, [0.0]])
         swapped = np.concatenate([w2, [0.0], w1, [0.0]])
-        a = est._assign_target_factor(unpack_spm(minimize(objective, gradient, init, opt).params, 2))
-        b = est._assign_target_factor(unpack_spm(minimize(objective, gradient, swapped, opt).params, 2))
+        a = est._assign_target_factor(unpack_spm(minimize(value, value_and_grad, init, opt).params, 2))
+        b = est._assign_target_factor(unpack_spm(minimize(value, value_and_grad, swapped, opt).params, 2))
         np.testing.assert_allclose(a.target.w, b.target.w, rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(a.selection.w, b.selection.w, rtol=1e-4, atol=1e-6)
 
@@ -258,10 +258,10 @@ class TestFitPsychm:
         spm_init = np.concatenate([w1, [0.0], w2, [0.0]])
         psy_init = np.concatenate([w1, [0.0, 0.0, 0.0], w2, [0.0]])
         opt = OptimizerConfig(method=Method.ADAM, max_iters=200, step_size=0.05)
-        spm_obj, spm_grad = make_loss_functions(data, ModelKind.SPM, REG0)
-        psy_obj, psy_grad = make_loss_functions(data, ModelKind.PSYCHM, REG0)
-        spm_res = minimize(spm_obj, spm_grad, spm_init, opt)
-        psy_res = minimize(psy_obj, psy_grad, psy_init, opt)
+        spm_value, spm_value_and_grad = make_loss_functions(data, ModelKind.SPM, REG0)
+        psy_value, psy_value_and_grad = make_loss_functions(data, ModelKind.PSYCHM, REG0)
+        spm_res = minimize(spm_value, spm_value_and_grad, spm_init, opt)
+        psy_res = minimize(psy_value, psy_value_and_grad, psy_init, opt)
         assert psy_res.params[3] == 0.0 and psy_res.params[4] == 0.0
         spm_free = spm_res.params
         psy_free = np.concatenate([psy_res.params[:3], psy_res.params[5:]])
@@ -402,5 +402,4 @@ class TestTrainModel:
     def test_default_optimizer_mapping(self):
         assert default_optimizer(ModelKind.PSYCHM, 5).method == Method.ADAM
         assert default_optimizer(ModelKind.SPM, 5).method == Method.LBFGS
-        assert default_optimizer(ModelKind.SPM, 80).method == Method.NADAM
         assert default_optimizer(ModelKind.NAIVE, 5).method == Method.LBFGS

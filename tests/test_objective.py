@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puselect.data import Dataset
+from puselect.estimators import _logistic_value_grad
 from puselect.models import LinearParams, ModelKind, PsychmParams, SpmParams, sigmoid
 from puselect.objective import (
     RegConfig,
@@ -235,17 +238,18 @@ class FiniteDifferenceMixin:
     step = 1e-5
 
     def check_gradient(self, data, kind, theta, reg):
-        grad = loss_gradient(data, kind, theta, reg)
+        value = lambda t: loss(data, kind, t, reg)
+        self.check_against_differences(value, loss_gradient(data, kind, theta, reg), theta, kind)
+
+    def check_against_differences(self, value, grad, theta, context):
         for j in range(theta.size):
             bump = np.zeros_like(theta)
             bump[j] = self.step
-            fd = (loss(data, kind, theta + bump, reg) - loss(data, kind, theta - bump, reg)) / (
-                2 * self.step
-            )
+            fd = (value(theta + bump) - value(theta - bump)) / (2 * self.step)
             if abs(fd) >= self.abs_tol:
-                assert abs(grad[j] - fd) / abs(fd) <= self.rel_tol, (kind, j, grad[j], fd)
+                assert abs(grad[j] - fd) / abs(fd) <= self.rel_tol, (context, j, grad[j], fd)
             else:
-                assert abs(grad[j] - fd) <= self.abs_tol, (kind, j, grad[j], fd)
+                assert abs(grad[j] - fd) <= self.abs_tol, (context, j, grad[j], fd)
 
 
 class TestLossGradient(FiniteDifferenceMixin):
@@ -268,9 +272,9 @@ class TestLossGradient(FiniteDifferenceMixin):
         rng = np.random.default_rng(8)
         data = _random_dataset(rng, n=60, d=2)
         reg = RegConfig(c_sel=0.5, c_tgt=0.5)
-        objective, gradient = make_loss_functions(data, ModelKind.SPM, reg)
+        value, value_and_grad = make_loss_functions(data, ModelKind.SPM, reg)
         cfg = OptimizerConfig(method=Method.LBFGS, grad_tol=1e-7, max_iters=3000)
-        result = minimize(objective, gradient, 0.1 * np.ones(6), cfg)
+        result = minimize(value, value_and_grad, 0.1 * np.ones(6), cfg)
         assert result.converged
         assert np.linalg.norm(loss_gradient(data, ModelKind.SPM, result.params, reg)) <= 1e-7
 
@@ -307,6 +311,31 @@ class TestLossGradient(FiniteDifferenceMixin):
         assert grad[3] == 0.0 and grad[4] == 0.0
 
 
+class TestLogisticGradient(FiniteDifferenceMixin):
+    """The naive, Elkan and oracle baselines' (value, value_and_grad) pair."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 5),
+        c_w=st.floats(0.0, 2.0),
+        norm=st.sampled_from(list(PenaltyNorm)),
+    )
+    def test_matches_central_differences(self, seed, n, d, c_w, norm):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        targets = rng.integers(0, 2, size=n)
+        # Weights stay clear of the L1 kink at 0, where central differences
+        # and the zero subgradient disagree; the bias is never penalized.
+        weights = rng.uniform(0.1, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
+        theta = np.append(weights, rng.normal())
+        value, value_and_grad = _logistic_value_grad(x, targets, c_w, norm)
+        f, grad = value_and_grad(theta)
+        assert f == value(theta)
+        self.check_against_differences(value, grad, theta, (n, d, c_w, norm))
+
+
 class TestFastClosures:
     @pytest.mark.parametrize("flags", ["mixed", "all", "none"])
     @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM], ids=["spm", "psychm"])
@@ -318,13 +347,14 @@ class TestFastClosures:
         if flags != "mixed":
             data = Dataset(x=data.x, l=np.full(data.n, int(flags == "all")))
         reg = RegConfig(c_sel=0.2, c_tgt=0.1)
-        objective, gradient = make_loss_functions(data, kind, reg)
+        value, value_and_grad = make_loss_functions(data, kind, reg)
         for _ in range(5):
             theta = _random_theta(rng, kind, 3)
-            probe = objective(theta)
-            g = gradient(theta)
+            probe = value(theta)
+            f, g = value_and_grad(theta)
             assert probe == loss(data, kind, theta, reg)
-            assert objective(theta) == loss(data, kind, theta, reg)
+            assert f == loss(data, kind, theta, reg)
+            assert value(theta) == loss(data, kind, theta, reg)
             np.testing.assert_array_equal(g, loss_gradient(data, kind, theta, reg))
 
     @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM])
@@ -334,11 +364,11 @@ class TestFastClosures:
         rng = np.random.default_rng(12)
         data = _random_dataset(rng, n=40, d=3)
         reg = RegConfig(c_sel=0.2, c_tgt=0.1)
-        _, gradient = make_loss_functions(data, kind, reg)
+        _, value_and_grad = make_loss_functions(data, kind, reg)
         thetas = [_random_theta(rng, kind, 3) for _ in range(3)]
-        first = [gradient(theta) for theta in thetas]
+        first = [value_and_grad(theta)[1] for theta in thetas]
         kept = [g.copy() for g in first]
         for theta, g, k in zip(thetas, first, kept):
-            np.testing.assert_array_equal(gradient(theta), k)
+            np.testing.assert_array_equal(value_and_grad(theta)[1], k)
             np.testing.assert_array_equal(g, k)
             np.testing.assert_array_equal(k, loss_gradient(data, kind, theta, reg))

@@ -216,10 +216,17 @@ class TestConfigFile:
         assert build_config({}) == ExperimentConfig()
 
     def test_optimizer_override(self):
-        cfg = build_config({"optimizer.method": "nadam", "optimizer.step_size": "0.2"})
-        assert cfg.protocol.optimizer.method == Method.NADAM
+        cfg = build_config({"optimizer.method": "adam", "optimizer.step_size": "0.2"})
+        assert cfg.protocol.optimizer.method == Method.ADAM
         assert cfg.protocol.optimizer.step_size == 0.2
         assert build_config({}).protocol.optimizer is None  # auto per kind
+
+    def test_optimizer_keys_need_a_method(self):
+        # Under optimizer.method=auto these keys would be dropped silently.
+        with pytest.raises(ValueError, match="optimizer.max_iters, optimizer.step_size.*optimizer.method"):
+            build_config({"optimizer.step_size": "0.2", "optimizer.max_iters": "5"})
+        with pytest.raises(ValueError, match="optimizer.grad_tol"):
+            build_config({"optimizer.method": "auto", "optimizer.grad_tol": "1e-3"})
 
 
 class TestCliMain:
@@ -257,6 +264,20 @@ class TestCliMain:
         assert code == 0
         payload = json.loads((tmp_path / "cli_out" / "aggregate.json").read_text())
         assert payload["mode"] == "bench-real"
+
+    def test_bench_real_counts_non_converged_fits(self, tmp_path, capsys):
+        csv_path = tmp_path / "real.csv"
+        main(["generate", str(csv_path), *self._flags(tmp_path)])
+        capsys.readouterr()
+        code = main([
+            "bench-real", str(csv_path), "--resamples", "2", *self._flags(tmp_path),
+            "--models", "spm,naive", "--optimizer.method", "lbfgs", "--optimizer.max_iters", "1",
+        ])
+        assert code == 0
+        payload = json.loads((tmp_path / "cli_out" / "aggregate.json").read_text())
+        # One final fit per model and resample, none of them at the tolerance.
+        assert payload["non_converged_fits"] == 2 * 2
+        assert "4 fits did not reach the gradient tolerance" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         code = main(["bench-synth", "--trials", "0", *self._flags(tmp_path)])
