@@ -53,7 +53,7 @@ from .objective import (
     loss_gradient,
     unconstrain_rates,
 )
-from .optimize import Method, NonFiniteError, OptimResult, OptimizerConfig, minimize
+from .optimize import NonFiniteError, OptimResult, OptimizerConfig, minimize
 from .runner import (
     ExperimentConfig,
     ResultTable,

@@ -20,7 +20,7 @@ import sys
 from .estimators import CvConfig, TrainingProtocol
 from .models import ModelKind
 from .objective import PenaltyNorm
-from .optimize import Method, OptimizerConfig
+from .optimize import OptimizerConfig
 from .runner import (
     ExperimentConfig,
     fit_single,
@@ -81,12 +81,9 @@ CONFIG_KEYS: dict = {
     "cv.grid_sel": (_parse_floats, _CV.grid_sel),
     "cv.grid_tgt": (_parse_floats, _CV.grid_tgt),
     "cv.max_iters": (int, _PROTOCOL.cv_max_iters),  # 0: same budget as the final fit
-    "optimizer.method": (str, "auto"),  # auto | adam | lbfgs
-    "optimizer.step_size": (float, _OPTIMIZER.step_size),
     "optimizer.max_iters": (int, _OPTIMIZER.max_iters),
     "optimizer.grad_tol": (float, _OPTIMIZER.grad_tol),
     "optimizer.history_size": (int, _OPTIMIZER.history_size),
-    "optimizer.moment_decays": (_parse_floats, _OPTIMIZER.moment_decays),
     "reg.norm_sel": (PenaltyNorm, _PROTOCOL.norm_sel),
     "reg.norm_tgt": (PenaltyNorm, _PROTOCOL.norm_tgt),
     "elkan.holdout_frac": (float, _PROTOCOL.elkan_holdout),
@@ -149,22 +146,12 @@ def build_config(raw: dict) -> ExperimentConfig:
         x_dist=r["generator.x_dist"],
         seed=r["seed"],
     )
-    if r["optimizer.method"] == "auto":
-        ignored = sorted(k for k in raw if k.startswith("optimizer.") and k != "optimizer.method")
-        if ignored:
-            raise ValueError(
-                f"config keys {', '.join(ignored)} need optimizer.method set to adam or lbfgs; "
-                "under optimizer.method=auto each model uses its own optimizer defaults"
-            )
-        optimizer = None
-    else:
+    optimizer = None  # without optimizer.* keys each model uses its own defaults
+    if any(k.startswith("optimizer.") for k in raw):
         optimizer = OptimizerConfig(
-            method=Method(r["optimizer.method"]),
-            step_size=r["optimizer.step_size"],
             max_iters=r["optimizer.max_iters"],
             grad_tol=r["optimizer.grad_tol"],
             history_size=r["optimizer.history_size"],
-            moment_decays=tuple(r["optimizer.moment_decays"]),
         )
     protocol = TrainingProtocol(
         cv=CvConfig(folds=r["cv.folds"], grid_sel=r["cv.grid_sel"], grid_tgt=r["cv.grid_tgt"]),

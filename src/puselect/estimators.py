@@ -31,7 +31,7 @@ from .objective import (
     unpack_psychm,
     unpack_spm,
 )
-from .optimize import Method, NonFiniteError, OptimResult, OptimizerConfig, minimize
+from .optimize import NonFiniteError, OptimResult, OptimizerConfig, minimize
 
 __all__ = [
     "CvConfig",
@@ -115,20 +115,15 @@ class FittedModel:
         return h
 
 
-def default_optimizer(kind: ModelKind, dim: int) -> OptimizerConfig:
-    """Per-model defaults: Adam for the psychometric fit, quasi-Newton for the
-    sigmoid product and for the convex logistic baselines.
-
-    Step size and iteration budgets are calibrated to the benchmark scale:
-    fitted weights reach magnitudes of 10..30, which Adam at the generic
-    1e-2 step cannot span within the budget, and the quasi-Newton loss
+def default_optimizer(kind: ModelKind) -> OptimizerConfig:
+    """Per-model iteration budgets for the one quasi-Newton optimizer:
+    150 for the two annotation models, 200 for the convex logistic
+    baselines.  They are calibrated to the benchmark scale, where the loss
     plateaus long before the generic 2000-iteration cap.
     """
-    if kind == ModelKind.PSYCHM:
-        return OptimizerConfig(method=Method.ADAM, step_size=0.05, max_iters=1500)
-    if kind == ModelKind.SPM:
-        return OptimizerConfig(method=Method.LBFGS, max_iters=150)
-    return OptimizerConfig(method=Method.LBFGS, max_iters=200)
+    if kind in (ModelKind.PSYCHM, ModelKind.SPM):
+        return OptimizerConfig(max_iters=150)
+    return OptimizerConfig(max_iters=200)
 
 
 @dataclass(frozen=True)
@@ -137,29 +132,22 @@ class TrainingProtocol:
 
     cv: CvConfig = field(default_factory=CvConfig)
     optimizer: OptimizerConfig | None = None  # None: per-kind defaults
-    cv_max_iters: int | None = 200  # shortened budget for CV fits; None: the full budget
+    cv_max_iters: int | None = 66  # shortened budget for CV fits; None: the full budget
     elkan_holdout: float = 0.2
     psychm_init: tuple[float, float] = (0.7, 0.02)
     n_starts: int = 3
     norm_sel: PenaltyNorm = PenaltyNorm.L2SQ
     norm_tgt: PenaltyNorm = PenaltyNorm.L2SQ
 
-    def optimizer_for(self, kind: ModelKind, dim: int) -> OptimizerConfig:
-        return self.optimizer if self.optimizer is not None else default_optimizer(kind, dim)
+    def optimizer_for(self, kind: ModelKind) -> OptimizerConfig:
+        return self.optimizer if self.optimizer is not None else default_optimizer(kind)
 
-    def cv_optimizer_for(self, kind: ModelKind, dim: int) -> OptimizerConfig:
-        """Optimizer for fold fits, optionally on a shortened budget.
-
-        A quasi-Newton iteration costs about three adaptive-moment
-        iterations here (line-search probes) and makes progress about as
-        much faster, so the shortened budget is divided by 3 for it.
-        """
-        opt = self.optimizer_for(kind, dim)
+    def cv_optimizer_for(self, kind: ModelKind) -> OptimizerConfig:
+        """Optimizer for fold fits: the final fit's, capped at ``cv_max_iters``
+        iterations when that is set."""
+        opt = self.optimizer_for(kind)
         if self.cv_max_iters is not None:
-            budget = self.cv_max_iters if opt.method == Method.ADAM else max(
-                1, self.cv_max_iters // 3
-            )
-            opt = replace(opt, max_iters=min(budget, opt.max_iters))
+            opt = replace(opt, max_iters=min(self.cv_max_iters, opt.max_iters))
         return opt
 
 
@@ -222,7 +210,7 @@ def fit_naive(
     """
     if np.all(data.l == data.l[0]):
         raise DegenerateDataError("annotation flags are all equal; nothing to fit")
-    opt = opt or default_optimizer(ModelKind.NAIVE, data.dim)
+    opt = opt or default_optimizer(ModelKind.NAIVE)
     params, result = _fit_logistic(data.x, data.l, reg.c_tgt, reg.norm_tgt, opt)
     return FittedModel(kind=ModelKind.NAIVE, target=params, diagnostics=_diag(result))
 
@@ -235,7 +223,7 @@ def fit_real_oracle(
         raise ValueError("oracle fit needs ground-truth classes y")
     if np.all(data.y == data.y[0]):
         raise DegenerateDataError("classes are all equal; nothing to fit")
-    opt = opt or default_optimizer(ModelKind.REAL_ORACLE, data.dim)
+    opt = opt or default_optimizer(ModelKind.REAL_ORACLE)
     params, result = _fit_logistic(data.x, data.y, reg.c_tgt, reg.norm_tgt, opt)
     return FittedModel(kind=ModelKind.REAL_ORACLE, target=params, diagnostics=_diag(result))
 
@@ -257,7 +245,7 @@ def fit_elkan(
     labeled = holdout.l == 1
     if not np.any(labeled):
         raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")
-    opt = opt or default_optimizer(ModelKind.ELKAN, data.dim)
+    opt = opt or default_optimizer(ModelKind.ELKAN)
     params, result = _fit_logistic(train.x, train.l, reg.c_tgt, reg.norm_tgt, opt)
     c_hat = float(np.mean(affine_sigmoid(holdout.x[labeled], params.w, params.b)))
     return FittedModel(
@@ -312,7 +300,7 @@ def fit_spm(
 
     A non-converged optimizer is reported in the diagnostics, not raised.
     """
-    opt = opt or default_optimizer(ModelKind.SPM, data.dim)
+    opt = opt or default_optimizer(ModelKind.SPM)
     best = _best_of_starts(data, ModelKind.SPM, reg, opt, seed, n_starts)
     ordered = _assign_target_factor(unpack_spm(best.params, data.dim))
     return FittedModel(
@@ -337,7 +325,7 @@ def fit_psychm(
     if not (0.0 < init_guess < 1.0 and 0.0 <= init_lapse < 1.0 and init_guess + init_lapse < 1.0):
         raise ValueError("need init_guess in (0,1), init_lapse in [0,1), sum < 1")
     d = data.dim
-    opt = opt or default_optimizer(ModelKind.PSYCHM, d)
+    opt = opt or default_optimizer(ModelKind.PSYCHM)
     surrogates = unconstrain_rates(init_guess, init_lapse)
     best = _best_of_starts(data, ModelKind.PSYCHM, reg, opt, seed, n_starts, surrogates)
     params = unpack_psychm(best.params, d)
@@ -448,9 +436,9 @@ def train_model(
     data: Dataset, kind: ModelKind, protocol: TrainingProtocol, seed: int = 0
 ) -> FittedModel:
     """Cross-validated penalty selection followed by the final fit."""
-    cv_opt = protocol.cv_optimizer_for(kind, data.dim)
+    cv_opt = protocol.cv_optimizer_for(kind)
     reg = select_hyperparams(
         data, kind, protocol.cv, opt=cv_opt, seed=_derive_seed(seed, 0), protocol=protocol
     )
-    fit_opt = protocol.optimizer_for(kind, data.dim)
+    fit_opt = protocol.optimizer_for(kind)
     return _fit_kind(data, kind, reg, fit_opt, _derive_seed(seed, 1), protocol)

@@ -38,7 +38,7 @@ from puselect.synth import GeneratorConfig, generate
 ALL_KINDS = (ModelKind.SPM, ModelKind.PSYCHM, ModelKind.NAIVE, ModelKind.ELKAN,
              ModelKind.REAL_ORACLE)
 
-BENCHMARK_PROTOCOL = TrainingProtocol(cv_max_iters=200, n_starts=3)
+BENCHMARK_PROTOCOL = TrainingProtocol(cv_max_iters=66, n_starts=3)
 BENCHMARK_SEED = 20240801
 
 
@@ -396,7 +396,7 @@ class TestCriterion8Determinism:
     FLAGS = [
         "--generator.n", "600", "--generator.d", "3",
         "--trials", "5", "--seed", "99",
-        "--cv.max_iters", "120", "--fit.n_starts", "1",
+        "--cv.max_iters", "40", "--fit.n_starts", "1",
     ]
 
     def test_bench_synth_byte_identical_across_jobs(self, tmp_path):
@@ -418,7 +418,7 @@ class TestCriterion8Determinism:
         csv_path = tmp_path / "real.csv"
         gen_flags = ["--generator.n", "600", "--generator.d", "3", "--seed", "98"]
         assert cli_main(["generate", str(csv_path), *gen_flags]) == 0
-        flags = ["--resamples", "4", "--seed", "99", "--cv.max_iters", "120", "--fit.n_starts", "1"]
+        flags = ["--resamples", "4", "--seed", "99", "--cv.max_iters", "40", "--fit.n_starts", "1"]
         digests = {}
         for jobs, name in (("1", "a"), ("4", "b"), ("1", "a2")):
             out = tmp_path / name
@@ -439,7 +439,7 @@ class TestCriterion8Determinism:
         assert cli_main(["generate", str(csv_path), *flags]) == 0
 
         protocol = TrainingProtocol(
-            cv=CvConfig(grid_sel=(0.01,), grid_tgt=(0.01,)), cv_max_iters=150, n_starts=1
+            cv=CvConfig(grid_sel=(0.01,), grid_tgt=(0.01,)), cv_max_iters=50, n_starts=1
         )
         from puselect.data import read_csv
 

@@ -28,7 +28,7 @@ def test_tracer_sees_the_fits_and_uninstalls(tracing):
     protocol = TrainingProtocol(
         cv=CvConfig(grid_sel=(0.01,), grid_tgt=(0.01,)),
         optimizer=OptimizerConfig(max_iters=40),
-        cv_max_iters=20,
+        cv_max_iters=6,
         n_starts=1,
     )
     tracer = tracing.Tracer()

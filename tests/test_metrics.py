@@ -197,7 +197,7 @@ class TestSignificance:
 def small_protocol():
     return TrainingProtocol(
         cv=CvConfig(grid_sel=(0.01,), grid_tgt=(0.01,)),
-        cv_max_iters=150,
+        cv_max_iters=50,
         n_starts=1,
     )
 

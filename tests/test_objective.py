@@ -21,7 +21,7 @@ from puselect.objective import (
     unpack_psychm,
     unpack_spm,
 )
-from puselect.optimize import Method, OptimizerConfig, minimize
+from puselect.optimize import OptimizerConfig, minimize
 
 
 def _random_dataset(rng, n=10, d=3):
@@ -273,7 +273,7 @@ class TestLossGradient(FiniteDifferenceMixin):
         data = _random_dataset(rng, n=60, d=2)
         reg = RegConfig(c_sel=0.5, c_tgt=0.5)
         value, value_and_grad = make_loss_functions(data, ModelKind.SPM, reg)
-        cfg = OptimizerConfig(method=Method.LBFGS, grad_tol=1e-7, max_iters=3000)
+        cfg = OptimizerConfig(grad_tol=1e-7, max_iters=3000)
         result = minimize(value, value_and_grad, 0.1 * np.ones(6), cfg)
         assert result.converged
         assert np.linalg.norm(loss_gradient(data, ModelKind.SPM, result.params, reg)) <= 1e-7

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from puselect.optimize import Method, NonFiniteError, OptimizerConfig, minimize
+from puselect.optimize import NonFiniteError, OptimizerConfig, minimize
 
 
 def _pair(value, grad):
@@ -29,17 +29,16 @@ def rosenbrock_grad(x):
     )
 
 
-@pytest.mark.parametrize("method", list(Method))
-def test_simple_quadratic_converges(method):
+def test_simple_quadratic_converges():
     value, grad = _quadratic(2.0 * np.eye(2))
-    cfg = OptimizerConfig(method=method, grad_tol=1e-6, max_iters=10000)
+    cfg = OptimizerConfig(grad_tol=1e-6, max_iters=10000)
     result = minimize(value, grad, np.array([3.0, 4.0]), cfg)
     assert result.converged
     assert np.linalg.norm(result.params) <= 1e-5
 
 
 def test_rosenbrock_quasi_newton():
-    cfg = OptimizerConfig(method=Method.LBFGS, max_iters=500, grad_tol=1e-9)
+    cfg = OptimizerConfig(max_iters=500, grad_tol=1e-9)
     result = minimize(*_pair(rosenbrock, rosenbrock_grad), np.array([-1.2, 1.0]), cfg)
     assert result.loss < 1e-6
     np.testing.assert_allclose(result.params, [1.0, 1.0], atol=1e-4)
@@ -47,7 +46,7 @@ def test_rosenbrock_quasi_newton():
 
 def test_stationary_start_returns_immediately():
     value, grad = _quadratic(np.eye(3))
-    result = minimize(value, grad, np.zeros(3), OptimizerConfig(method=Method.LBFGS))
+    result = minimize(value, grad, np.zeros(3), OptimizerConfig())
     assert result.converged
     assert result.iterations == 0
     np.testing.assert_allclose(result.params, np.zeros(3), atol=1e-12)
@@ -55,7 +54,7 @@ def test_stationary_start_returns_immediately():
 
 def test_determinism_bitwise():
     value, grad = _quadratic(np.diag([1.0, 7.0, 0.3]))
-    cfg = OptimizerConfig(method=Method.ADAM, max_iters=500)
+    cfg = OptimizerConfig(max_iters=500)
     first = minimize(value, grad, np.array([1.0, -2.0, 3.0]), cfg)
     second = minimize(value, grad, np.array([1.0, -2.0, 3.0]), cfg)
     assert first.params.tobytes() == second.params.tobytes()
@@ -64,19 +63,23 @@ def test_determinism_bitwise():
 
 
 def test_best_iterate_retention():
-    value, value_and_grad = _quadratic(2.0 * np.eye(1))
+    # Every accepted step passes the Armijo test, so the returned iterate
+    # is the lowest of all the iterates evaluated, and on a non-convex
+    # function stopped early it is still no worse than the start.
     seen = []
 
     def recording(w):
-        v, g = value_and_grad(w)
+        v, g = rosenbrock(w), rosenbrock_grad(w)
         seen.append(v)
         return v, g
 
-    # deliberately unstable step so Adam overshoots and oscillates
-    cfg = OptimizerConfig(method=Method.ADAM, step_size=2.0, max_iters=50, grad_tol=1e-12)
-    result = minimize(value, recording, np.array([0.5]), cfg)
-    assert result.loss == min(seen)
-    assert result.loss <= value(np.array([0.5])) + 1e-9
+    init = np.array([-1.2, 1.0])
+    cfg = OptimizerConfig(max_iters=15, grad_tol=1e-12)
+    result = minimize(rosenbrock, recording, init, cfg)
+    assert result.iterations == 15 and not result.converged
+    assert result.loss == min(seen) == seen[-1]
+    assert result.loss < rosenbrock(init)
+    assert result.loss == rosenbrock(result.params)
 
 
 @pytest.mark.parametrize("dim", [2, 5, 10, 20])
@@ -87,26 +90,28 @@ def test_quadratic_terminates_within_dim_plus_five(dim):
         spectrum = rng.uniform(1.0, 100.0, size=dim)
         matrix = basis @ np.diag(spectrum) @ basis.T
         value, grad = _quadratic(matrix)
-        cfg = OptimizerConfig(
-            method=Method.LBFGS, grad_tol=1e-8, max_iters=200, history_size=max(10, dim)
-        )
+        cfg = OptimizerConfig(grad_tol=1e-8, max_iters=200, history_size=max(10, dim))
         result = minimize(value, grad, 5.0 * rng.normal(size=dim), cfg)
         assert result.converged
         assert result.iterations <= dim + 5
 
 
 def test_non_finite_objective_raises_with_iterate():
-    def value(w):
-        return float("nan") if abs(w[0]) > 10 else float(w @ w)
+    # The line-search probes see a finite loss, but the loss evaluated at
+    # the accepted point is not: the error carries that point.
+    calls = {"n": 0}
 
-    def grad(w):
-        return -1e6 * np.ones_like(w)  # drives the iterate far out
+    def failing(w):
+        calls["n"] += 1
+        f = float("nan") if calls["n"] == 3 else rosenbrock(w)
+        return f, rosenbrock_grad(w)
 
-    cfg = OptimizerConfig(method=Method.ADAM, step_size=50.0, max_iters=100)
+    init = np.array([-1.2, 1.0])
     with pytest.raises(NonFiniteError) as err:
-        minimize(*_pair(value, grad), np.array([1.0]), cfg)
-    assert hasattr(err.value, "iterate")
-    assert err.value.iterate.shape == (1,)
+        minimize(rosenbrock, failing, init, OptimizerConfig())
+    # The third call is the second accepted point.
+    assert err.value.iterate.shape == (2,)
+    assert rosenbrock(err.value.iterate) < rosenbrock(init)
 
 
 def test_non_finite_gradient_raises():
@@ -120,7 +125,7 @@ def test_non_finite_gradient_raises():
 
     value = lambda w: float(w @ w)
     with pytest.raises(NonFiniteError):
-        minimize(*_pair(value, grad), np.array([3.0]), OptimizerConfig(method=Method.ADAM))
+        minimize(*_pair(value, grad), np.array([3.0]), OptimizerConfig())
 
 
 def test_non_finite_init_rejected():
@@ -131,20 +136,17 @@ def test_non_finite_init_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(step_size=0.0)
+        OptimizerConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(moment_decays=(0.9, 1.0))
+        OptimizerConfig(history_size=0)
 
 
-@pytest.mark.parametrize(
-    "method, max_iters",
-    [(Method.ADAM, 30), (Method.ADAM, 10000), (Method.LBFGS, 5), (Method.LBFGS, 500)],
-)
-def test_one_value_and_grad_call_per_iterate(method, max_iters):
+@pytest.mark.parametrize("max_iters", [5, 500])
+def test_one_value_and_grad_call_per_iterate(max_iters):
     # The start and every iterate cost one value_and_grad call; only
-    # L-BFGS line-search probes call value.
+    # line-search probes call value.
     calls = {"value": 0, "value_and_grad": 0}
 
     def value(x):
@@ -155,12 +157,9 @@ def test_one_value_and_grad_call_per_iterate(method, max_iters):
         calls["value_and_grad"] += 1
         return rosenbrock(x), rosenbrock_grad(x)
 
-    cfg = OptimizerConfig(method=method, max_iters=max_iters, grad_tol=1e-6, step_size=1e-3)
+    cfg = OptimizerConfig(max_iters=max_iters, grad_tol=1e-6)
     result = minimize(value, value_and_grad, np.array([-1.2, 1.0]), cfg)
     # Neither a converged nor a capped run stalled in a line search.
     assert result.converged or result.iterations == max_iters
     assert calls["value_and_grad"] == result.iterations + 1
-    if method == Method.ADAM:
-        assert calls["value"] == 0
-    else:
-        assert calls["value"] >= result.iterations
+    assert calls["value"] >= result.iterations

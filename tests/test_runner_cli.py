@@ -7,7 +7,7 @@ from puselect.data import read_csv
 from puselect.estimators import CvConfig, TrainingProtocol
 from puselect.models import ModelKind
 from puselect import runner
-from puselect.optimize import Method
+from puselect.optimize import OptimizerConfig
 from puselect.runner import (
     ExperimentConfig,
     fit_single,
@@ -19,7 +19,7 @@ from puselect.synth import GeneratorConfig, generate
 
 LIGHT_PROTOCOL = TrainingProtocol(
     cv=CvConfig(folds=2, grid_sel=(0.0, 0.1), grid_tgt=(0.0, 0.1)),
-    cv_max_iters=100,
+    cv_max_iters=33,
     n_starts=1,
 )
 
@@ -194,6 +194,9 @@ class TestConfigFile:
         path.write_text("generator.bogus=1\n")
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(path)
+        path.write_text("optimizer.method=auto\n")
+        with pytest.raises(ValueError, match="unknown key 'optimizer.method'"):
+            parse_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -216,17 +219,10 @@ class TestConfigFile:
         assert build_config({}) == ExperimentConfig()
 
     def test_optimizer_override(self):
-        cfg = build_config({"optimizer.method": "adam", "optimizer.step_size": "0.2"})
-        assert cfg.protocol.optimizer.method == Method.ADAM
-        assert cfg.protocol.optimizer.step_size == 0.2
-        assert build_config({}).protocol.optimizer is None  # auto per kind
-
-    def test_optimizer_keys_need_a_method(self):
-        # Under optimizer.method=auto these keys would be dropped silently.
-        with pytest.raises(ValueError, match="optimizer.max_iters, optimizer.step_size.*optimizer.method"):
-            build_config({"optimizer.step_size": "0.2", "optimizer.max_iters": "5"})
-        with pytest.raises(ValueError, match="optimizer.grad_tol"):
-            build_config({"optimizer.method": "auto", "optimizer.grad_tol": "1e-3"})
+        # Any optimizer key builds one configuration for every model.
+        cfg = build_config({"optimizer.grad_tol": "1e-3"})
+        assert cfg.protocol.optimizer == OptimizerConfig(grad_tol=1e-3)
+        assert build_config({}).protocol.optimizer is None  # per-kind defaults
 
 
 class TestCliMain:
@@ -234,7 +230,7 @@ class TestCliMain:
         return [
             "--generator.n", "300", "--generator.d", "2",
             "--cv.grid_sel", "0,0.1", "--cv.grid_tgt", "0,0.1",
-            "--cv.folds", "2", "--cv.max_iters", "100",
+            "--cv.folds", "2", "--cv.max_iters", "33",
             "--fit.n_starts", "1",
             "--models", "spm,naive,real",
             "--out", str(tmp_path / "cli_out"),
@@ -271,7 +267,7 @@ class TestCliMain:
         capsys.readouterr()
         code = main([
             "bench-real", str(csv_path), "--resamples", "2", *self._flags(tmp_path),
-            "--models", "spm,naive", "--optimizer.method", "lbfgs", "--optimizer.max_iters", "1",
+            "--models", "spm,naive", "--optimizer.max_iters", "1",
         ])
         assert code == 0
         payload = json.loads((tmp_path / "cli_out" / "aggregate.json").read_text())
@@ -287,7 +283,7 @@ class TestCliMain:
     def test_config_file_flag(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("generator.n=200\ngenerator.d=2\ntrials=1\n"
-                            "cv.grid_sel=0\ncv.grid_tgt=0\ncv.folds=2\ncv.max_iters=80\n"
+                            "cv.grid_sel=0\ncv.grid_tgt=0\ncv.folds=2\ncv.max_iters=26\n"
                             "fit.n_starts=1\nmodels=naive,real\n")
         out = tmp_path / "cfg_out"
         code = main(["bench-synth", "--config", str(cfg_file), "--out", str(out), "--seed", "2"])
