@@ -131,12 +131,18 @@ class TestFitElkan:
         assert np.all(scores <= 1.0)
 
     def test_constant_annotation_model_gives_exact_mean(self):
-        # with a constant feature the annotation model is a constant, so
-        # the holdout mean equals that constant exactly
+        # with a constant feature the annotation model is a constant, so c
+        # is the mean of that constant over the labeled holdout rows; the
+        # mean of k equal floats need not equal the float, so the reference
+        # takes the same mean
         x = np.zeros((100, 1))
         l = np.r_[np.ones(35, dtype=int), np.zeros(65, dtype=int)]
-        model = fit_elkan(Dataset(x=x, l=l), REG0, seed=7)
-        assert model.c_hat == sigmoid(model.target.b)
+        data = Dataset(x=x, l=l)
+        model = fit_elkan(data, REG0, seed=7)
+        _, holdout = split(data, 0.8, seed=est._derive_seed(7, 100))
+        k = int(np.sum(holdout.l == 1))
+        assert k > 1
+        assert model.c_hat == np.mean(np.full(k, sigmoid(model.target.b)))
 
     def test_no_labeled_holdout_rejected(self):
         x = np.random.default_rng(8).normal(size=(10, 1))
