@@ -56,7 +56,7 @@ _EXPERIMENT = ExperimentConfig()
 _GENERATOR = GeneratorConfig()
 _CV = CvConfig()
 _PROTOCOL = TrainingProtocol()
-_OPTIMIZER = OptimizerConfig()
+_OPTIMIZER = _PROTOCOL.optimizer
 
 # key -> (parser, default).  Defaults are read from the config dataclasses,
 # so they live in one place; the resolved mapping is assembled back into
@@ -146,16 +146,13 @@ def build_config(raw: dict) -> ExperimentConfig:
         x_dist=r["generator.x_dist"],
         seed=r["seed"],
     )
-    optimizer = None  # without optimizer.* keys each model uses its own defaults
-    if any(k.startswith("optimizer.") for k in raw):
-        optimizer = OptimizerConfig(
+    protocol = TrainingProtocol(
+        cv=CvConfig(folds=r["cv.folds"], grid_sel=r["cv.grid_sel"], grid_tgt=r["cv.grid_tgt"]),
+        optimizer=OptimizerConfig(
             max_iters=r["optimizer.max_iters"],
             grad_tol=r["optimizer.grad_tol"],
             history_size=r["optimizer.history_size"],
-        )
-    protocol = TrainingProtocol(
-        cv=CvConfig(folds=r["cv.folds"], grid_sel=r["cv.grid_sel"], grid_tgt=r["cv.grid_tgt"]),
-        optimizer=optimizer,
+        ),
         cv_max_iters=r["cv.max_iters"] or None,
         elkan_holdout=r["elkan.holdout_frac"],
         psychm_init=(r["psychm.init_guess"], r["psychm.init_lapse"]),

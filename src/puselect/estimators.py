@@ -14,16 +14,8 @@ import numpy as np
 
 from .data import Dataset, _derive_seed, _rng, split
 from .metrics import brier
-from .models import (
-    LinearParams,
-    ModelKind,
-    SpmParams,
-    affine_sigmoid,
-    psychometric,
-    sigmoid,
-)
+from .models import LinearParams, ModelKind, SpmParams, affine_sigmoid, psychometric
 from .objective import (
-    LOG_CLAMP,
     PenaltyNorm,
     RegConfig,
     make_loss_functions,
@@ -39,7 +31,6 @@ __all__ = [
     "FitDiagnostics",
     "FittedModel",
     "TrainingProtocol",
-    "default_optimizer",
     "fit_naive",
     "fit_real_oracle",
     "fit_elkan",
@@ -50,6 +41,11 @@ __all__ = [
 ]
 
 _INIT_SCALE = 0.1  # std of the Gaussian weight initialization; biases start at 0
+
+# The one iteration budget of final fits, for every model.  It is calibrated
+# to the benchmark scale, where the loss plateaus long before the
+# optimizer's generic 2000-iteration cap.
+_OPTIMIZER = OptimizerConfig(max_iters=150)
 
 
 class DegenerateDataError(ValueError):
@@ -115,23 +111,12 @@ class FittedModel:
         return h
 
 
-def default_optimizer(kind: ModelKind) -> OptimizerConfig:
-    """Per-model iteration budgets for the one quasi-Newton optimizer:
-    150 for the two annotation models, 200 for the convex logistic
-    baselines.  They are calibrated to the benchmark scale, where the loss
-    plateaus long before the generic 2000-iteration cap.
-    """
-    if kind in (ModelKind.PSYCHM, ModelKind.SPM):
-        return OptimizerConfig(max_iters=150)
-    return OptimizerConfig(max_iters=200)
-
-
 @dataclass(frozen=True)
 class TrainingProtocol:
     """Everything `train_model` needs besides the data and the model kind."""
 
     cv: CvConfig = field(default_factory=CvConfig)
-    optimizer: OptimizerConfig | None = None  # None: per-kind defaults
+    optimizer: OptimizerConfig = _OPTIMIZER
     cv_max_iters: int | None = 66  # shortened budget for CV fits; None: the full budget
     elkan_holdout: float = 0.2
     psychm_init: tuple[float, float] = (0.7, 0.02)
@@ -139,16 +124,12 @@ class TrainingProtocol:
     norm_sel: PenaltyNorm = PenaltyNorm.L2SQ
     norm_tgt: PenaltyNorm = PenaltyNorm.L2SQ
 
-    def optimizer_for(self, kind: ModelKind) -> OptimizerConfig:
-        return self.optimizer if self.optimizer is not None else default_optimizer(kind)
-
-    def cv_optimizer_for(self, kind: ModelKind) -> OptimizerConfig:
+    def cv_optimizer_for(self) -> OptimizerConfig:
         """Optimizer for fold fits: the final fit's, capped at ``cv_max_iters``
         iterations when that is set."""
-        opt = self.optimizer_for(kind)
-        if self.cv_max_iters is not None:
-            opt = replace(opt, max_iters=min(self.cv_max_iters, opt.max_iters))
-        return opt
+        if self.cv_max_iters is None:
+            return self.optimizer
+        return replace(self.optimizer, max_iters=min(self.cv_max_iters, self.optimizer.max_iters))
 
 
 def _diag(result: OptimResult, notes: tuple[str, ...] = ()) -> FitDiagnostics:
@@ -165,43 +146,18 @@ def _diag(result: OptimResult, notes: tuple[str, ...] = ()) -> FitDiagnostics:
 # Logistic regression (naive / oracle / Elkan's annotation model)
 
 
-def _logistic_value_grad(X, targets, c_w, norm_w):
-    """Penalized negative log-likelihood of a logistic regression, as the
-    optimizer's (value, value_and_grad) pair over one forward pass."""
-
-    def forward(theta):
-        w = theta[:-1]
-        p = sigmoid(X @ w + theta[-1])
-        p_c = np.clip(p, LOG_CLAMP, 1.0 - LOG_CLAMP)
-        nll = -float(np.sum(targets * np.log(p_c) + (1 - targets) * np.log(1.0 - p_c)))
-        if norm_w == PenaltyNorm.L2SQ:
-            return nll + c_w * float(w @ w), p
-        return nll + c_w * float(np.sum(np.abs(w))), p
-
-    def value(theta):
-        return forward(theta)[0]
-
-    def value_and_grad(theta):
-        f, p = forward(theta)
-        dz = np.where((p > LOG_CLAMP) & (p < 1.0 - LOG_CLAMP), p - targets, 0.0)
-        gw = X.T @ dz
-        gw += 2.0 * c_w * theta[:-1] if norm_w == PenaltyNorm.L2SQ else c_w * np.sign(theta[:-1])
-        return f, np.concatenate([gw, [float(np.sum(dz))]])
-
-    return value, value_and_grad
-
-
-def _fit_logistic(X, targets, c_w, norm_w, opt: OptimizerConfig) -> tuple[LinearParams, OptimResult]:
+def _fit_logistic(data, kind, reg, opt: OptimizerConfig) -> tuple[LinearParams, OptimResult]:
+    """The one-factor layout of the likelihood engine: a logistic regression
+    of l (y for the oracle) on x, penalized by ``reg.c_tgt``."""
     # The problem is convex, so the zero start is as good as any and keeps
     # the baselines seed-independent.
-    theta0 = np.zeros(X.shape[1] + 1)
-    value, value_and_grad = _logistic_value_grad(X, targets, c_w, norm_w)
-    result = minimize(value, value_and_grad, theta0, opt)
+    theta0 = np.zeros(data.dim + 1)
+    result = minimize(*make_loss_functions(data, kind, reg), theta0, opt)
     return LinearParams(w=result.params[:-1], b=result.params[-1]), result
 
 
 def fit_naive(
-    data: Dataset, reg: RegConfig, opt: OptimizerConfig | None = None, seed: int = 0
+    data: Dataset, reg: RegConfig, opt: OptimizerConfig = _OPTIMIZER, seed: int = 0
 ) -> FittedModel:
     """Logistic regression of the annotation flag on x, unlabeled treated as negative.
 
@@ -210,28 +166,26 @@ def fit_naive(
     """
     if np.all(data.l == data.l[0]):
         raise DegenerateDataError("annotation flags are all equal; nothing to fit")
-    opt = opt or default_optimizer(ModelKind.NAIVE)
-    params, result = _fit_logistic(data.x, data.l, reg.c_tgt, reg.norm_tgt, opt)
+    params, result = _fit_logistic(data, ModelKind.NAIVE, reg, opt)
     return FittedModel(kind=ModelKind.NAIVE, target=params, diagnostics=_diag(result))
 
 
 def fit_real_oracle(
-    data: Dataset, reg: RegConfig, opt: OptimizerConfig | None = None, seed: int = 0
+    data: Dataset, reg: RegConfig, opt: OptimizerConfig = _OPTIMIZER, seed: int = 0
 ) -> FittedModel:
     """Logistic regression on the ground-truth classes; an upper-bound reference."""
     if data.y is None:
         raise ValueError("oracle fit needs ground-truth classes y")
     if np.all(data.y == data.y[0]):
         raise DegenerateDataError("classes are all equal; nothing to fit")
-    opt = opt or default_optimizer(ModelKind.REAL_ORACLE)
-    params, result = _fit_logistic(data.x, data.y, reg.c_tgt, reg.norm_tgt, opt)
+    params, result = _fit_logistic(data, ModelKind.REAL_ORACLE, reg, opt)
     return FittedModel(kind=ModelKind.REAL_ORACLE, target=params, diagnostics=_diag(result))
 
 
 def fit_elkan(
     data: Dataset,
     reg: RegConfig,
-    opt: OptimizerConfig | None = None,
+    opt: OptimizerConfig = _OPTIMIZER,
     holdout_frac: float = 0.2,
     seed: int = 0,
 ) -> FittedModel:
@@ -245,8 +199,7 @@ def fit_elkan(
     labeled = holdout.l == 1
     if not np.any(labeled):
         raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")
-    opt = opt or default_optimizer(ModelKind.ELKAN)
-    params, result = _fit_logistic(train.x, train.l, reg.c_tgt, reg.norm_tgt, opt)
+    params, result = _fit_logistic(train, ModelKind.ELKAN, reg, opt)
     c_hat = float(np.mean(affine_sigmoid(holdout.x[labeled], params.w, params.b)))
     return FittedModel(
         kind=ModelKind.ELKAN, target=params, c_hat=c_hat, diagnostics=_diag(result)
@@ -292,7 +245,7 @@ def _best_of_starts(data, kind, reg, opt, seed, n_starts, rate_surrogates=()) ->
 def fit_spm(
     data: Dataset,
     reg: RegConfig,
-    opt: OptimizerConfig | None = None,
+    opt: OptimizerConfig = _OPTIMIZER,
     seed: int = 0,
     n_starts: int = 1,
 ) -> FittedModel:
@@ -300,7 +253,6 @@ def fit_spm(
 
     A non-converged optimizer is reported in the diagnostics, not raised.
     """
-    opt = opt or default_optimizer(ModelKind.SPM)
     best = _best_of_starts(data, ModelKind.SPM, reg, opt, seed, n_starts)
     ordered = _assign_target_factor(unpack_spm(best.params, data.dim))
     return FittedModel(
@@ -314,7 +266,7 @@ def fit_spm(
 def fit_psychm(
     data: Dataset,
     reg: RegConfig,
-    opt: OptimizerConfig | None = None,
+    opt: OptimizerConfig = _OPTIMIZER,
     init_guess: float = 0.7,
     init_lapse: float = 0.02,
     seed: int = 0,
@@ -325,7 +277,6 @@ def fit_psychm(
     if not (0.0 < init_guess < 1.0 and 0.0 <= init_lapse < 1.0 and init_guess + init_lapse < 1.0):
         raise ValueError("need init_guess in (0,1), init_lapse in [0,1), sum < 1")
     d = data.dim
-    opt = opt or default_optimizer(ModelKind.PSYCHM)
     surrogates = unconstrain_rates(init_guess, init_lapse)
     best = _best_of_starts(data, ModelKind.PSYCHM, reg, opt, seed, n_starts, surrogates)
     params = unpack_psychm(best.params, d)
@@ -367,7 +318,7 @@ def select_hyperparams(
     data: Dataset,
     kind: ModelKind,
     cv: CvConfig,
-    opt: OptimizerConfig | None = None,
+    opt: OptimizerConfig = _OPTIMIZER,
     seed: int = 0,
     protocol: TrainingProtocol | None = None,
 ) -> RegConfig:
@@ -436,9 +387,8 @@ def train_model(
     data: Dataset, kind: ModelKind, protocol: TrainingProtocol, seed: int = 0
 ) -> FittedModel:
     """Cross-validated penalty selection followed by the final fit."""
-    cv_opt = protocol.cv_optimizer_for(kind)
     reg = select_hyperparams(
-        data, kind, protocol.cv, opt=cv_opt, seed=_derive_seed(seed, 0), protocol=protocol
+        data, kind, protocol.cv, opt=protocol.cv_optimizer_for(), seed=_derive_seed(seed, 0),
+        protocol=protocol,
     )
-    fit_opt = protocol.optimizer_for(kind)
-    return _fit_kind(data, kind, reg, fit_opt, _derive_seed(seed, 1), protocol)
+    return _fit_kind(data, kind, reg, protocol.optimizer, _derive_seed(seed, 1), protocol)

@@ -33,6 +33,14 @@ subgradient.
 The sigmoid product is the psychometric model with guess = lapse = 0, so
 one engine evaluates both: with the rates free (the psychometric layout)
 or fixed (the sigmoid-product layout, at (0, 0) for that model).
+
+The logistic baselines are the one-factor case, h(x) = t(x):
+
+    one factor:      [w (d), b]                                      (d + 1)
+
+with t's weights penalized by c_tgt under norm_tgt and no selection or
+rate slots.  The naive baseline and Elkan's annotation model fit the
+flags l; the oracle fits the ground-truth classes y in their place.
 """
 
 from __future__ import annotations
@@ -108,12 +116,22 @@ def unconstrain_rates(guess: float, lapse: float) -> tuple[float, float]:
     return guess / denom, lapse / denom
 
 
+# Per model kind: the number of sigmoid factors, the (guess, lapse) rates,
+# fixed or None when their surrogates are free parameters, and the label
+# column the likelihood fits.  The sigmoid product is the psychometric model
+# with its rates fixed at (0, 0); one factor has no rate map at all.
+_LAYOUTS = {
+    ModelKind.PSYCHM: (2, None, "l"),
+    ModelKind.SPM: (2, (0.0, 0.0), "l"),
+    ModelKind.NAIVE: (1, (0.0, 0.0), "l"),
+    ModelKind.ELKAN: (1, (0.0, 0.0), "l"),
+    ModelKind.REAL_ORACLE: (1, (0.0, 0.0), "y"),
+}
+
+
 def free_param_length(kind: ModelKind, dim: int) -> int:
-    if kind == ModelKind.SPM:
-        return 2 * dim + 2
-    if kind == ModelKind.PSYCHM:
-        return 2 * dim + 4
-    raise ValueError(f"no free-parameter layout for {kind}")
+    factors, rates, _ = _LAYOUTS[kind]
+    return factors * (dim + 1) + (2 if rates is None else 0)
 
 
 def pack_spm(params: SpmParams) -> np.ndarray:
@@ -166,32 +184,23 @@ def _penalty_grad(w: np.ndarray, c: float, norm: PenaltyNorm) -> np.ndarray:
     return c * np.sign(w)
 
 
-def _engine_rates(kind: ModelKind):
-    """The sigmoid product is the psychometric model with its rates fixed
-    at (0, 0); the psychometric model's rates are free (None)."""
-    if kind == ModelKind.SPM:
-        return (0.0, 0.0)
-    if kind == ModelKind.PSYCHM:
-        return None
-    raise ValueError(f"loss is defined for SPM/PsychM only, got {kind}")
-
-
 class _BlockWork:
     """Work arrays for one block of rows, allocated once per engine.  Fresh
     per-call temporaries of this size were handed back to the operating
     system after every call on large data and faulted back in on the next
     one, a fifth of a PsychM fit's time on 10 000 rows.
 
-    Per row: a holds z, then an annotated block's log terms, then dz; s the
-    sigmoids; c the rate-mapped probabilities, then 1 - s; d the derivative
-    of the log-likelihood by each probability.  ``probs`` is s itself when
-    the rate map is skipped.  ``arg`` is what the log is taken of: the two
-    probabilities of an annotated row, 1 - their product for an unannotated
-    one; ``clipped`` holds it clamped, then the derivative of its log.
+    Per row and factor: a holds z, then an annotated block's log terms,
+    then dz; s the sigmoids; c the rate-mapped probabilities, then 1 - s;
+    d the derivative of the log-likelihood by each probability.  ``probs``
+    is s itself when the rate map is skipped.  ``arg`` is what the log is
+    taken of: the probabilities of an annotated row, 1 - their product for
+    an unannotated one; ``clipped`` holds it clamped, then the derivative
+    of its log.
     """
 
-    def __init__(self, n: int, annotated: bool, mapped: bool):
-        self.a, self.s, self.c, self.d = (np.empty((n, 2)) for _ in range(4))
+    def __init__(self, n: int, factors: int, annotated: bool, mapped: bool):
+        self.a, self.s, self.c, self.d = (np.empty((n, factors)) for _ in range(4))
         self.u = np.empty(n)
         self.probs = self.c if mapped else self.s
         if annotated:
@@ -203,33 +212,47 @@ class _BlockWork:
 
 
 class _Engine:
-    """Loss value and gradient for one (dataset, rates, penalties).
+    """Loss value and gradient for one (dataset, penalties, layout).
 
-    ``rates`` is None when the guess/lapse surrogates are free parameters
-    (the psychometric layout) and a fixed (guess, lapse) pair otherwise
-    (the layout without surrogate slots); the sigmoid product is the pair
-    (0, 0).  Rows are split once into annotated and unannotated blocks; the
-    two affine scores are computed by a single stacked matmul per block.
-    `value` and `value_and_grad` share one forward pass, so they agree bit
-    for bit.  Per-row intermediates go into work arrays kept for the
-    engine's lifetime; every call returns a fresh gradient array.
+    The layout is one of ``_LAYOUTS``' (factors, rates, label) triples.
+    With two factors, ``rates`` is None when the guess/lapse surrogates are
+    free parameters (the psychometric layout) and a fixed (guess, lapse)
+    pair otherwise (the layout without surrogate slots); the sigmoid product
+    is the pair (0, 0).  One factor is a logistic regression of the label
+    column: its miss term is 1 - t(x) and its only penalty is the target's.
+    Rows are split once by that label into annotated and unannotated
+    blocks; the affine scores are computed by a single stacked matmul per
+    block.  `value` and `value_and_grad` share one forward pass, so they
+    agree bit for bit.  Per-row intermediates go into work arrays kept for
+    the engine's lifetime; every call returns a fresh gradient array.
     """
 
-    def __init__(self, data: Dataset, reg: RegConfig, rates):
+    def __init__(self, data: Dataset, reg: RegConfig, layout):
         if data.n < 1:
             raise ValueError("dataset is empty")
-        self.reg = reg
-        self.rates = rates
+        n_factors, self.rates, label = layout
+        labels = getattr(data, label)
+        if labels is None:
+            raise ValueError("the oracle's likelihood needs ground-truth classes y")
         self.d = data.dim
-        # Target weights start after the selection bias and, when the rates
-        # are free, after their two surrogates.
-        self.tgt = self.d + 1 if rates is not None else self.d + 3
-        self.n_free = self.tgt + self.d + 1
+        # (weight offset, penalty, norm) per factor; its bias follows its
+        # weights.  Target weights start after the selection bias and, when
+        # the rates are free, after their two surrogates.
+        if n_factors == 1:
+            self.factors = ((0, reg.c_tgt, reg.norm_tgt),)
+        else:
+            tgt = self.d + 1 if self.rates is not None else self.d + 3
+            self.factors = ((0, reg.c_sel, reg.norm_sel), (tgt, reg.c_tgt, reg.norm_tgt))
+        self.n_free = self.factors[-1][0] + self.d + 1
+        # theta[self.gather] holds one factor per column: its weights in rows
+        # 0..d-1, its bias in row d.
+        offsets = np.array([offset for offset, _, _ in self.factors])
+        self.gather = offsets + np.arange(self.d + 1)[:, None]
         # guess + span * s is the identity at (0, 0): skip it there.
-        self.mapped = rates != (0.0, 0.0)
-        pos = data.l == 1
+        self.mapped = self.rates != (0.0, 0.0)
+        pos = labels == 1
         self.blocks = [
-            (block, annotated, _BlockWork(block.shape[0], annotated, self.mapped))
+            (block, annotated, _BlockWork(block.shape[0], n_factors, annotated, self.mapped))
             for block, annotated in ((data.x[pos], True), (data.x[~pos], False))
             if block.shape[0]
         ]
@@ -243,9 +266,9 @@ class _Engine:
     def _forward(self, theta: np.ndarray) -> tuple[float, float]:
         """Data log-likelihood and rate span at a checked theta; leaves each
         block's intermediates in its work arrays."""
-        d, t = self.d, self.tgt
-        weights = np.column_stack((theta[:d], theta[t : t + d]))
-        biases = np.array([theta[d], theta[t + d]])
+        d = self.d
+        stacked = theta[self.gather]
+        weights, biases = stacked[:d], stacked[d]
         if self.rates is None:
             guess, lapse = constrain_rates(theta[d + 1], theta[d + 2])
         else:
@@ -277,17 +300,20 @@ class _Engine:
                 np.multiply(span, raw[:, 0], out=probs[:, 0])
                 np.add(guess, probs[:, 0], out=probs[:, 0])
             if not annotated:
-                miss = np.multiply(probs[:, 0], probs[:, 1], out=work.arg)
-                np.subtract(1.0, miss, out=miss)
+                # 1 - s t, or 1 - t with one factor.  (np.multiply.reduce
+                # over the factor axis is an order of magnitude slower.)
+                miss = probs[:, 0]
+                if len(self.factors) == 2:
+                    miss = np.multiply(miss, probs[:, 1], out=work.arg)
+                np.subtract(1.0, miss, out=work.arg)
             np.clip(work.arg, LOG_CLAMP, 1.0 - LOG_CLAMP, out=work.clipped)
             total += float(np.sum(np.log(work.clipped, out=work.logs)))
         return total, span
 
     def _penalized(self, theta: np.ndarray, total: float) -> float:
-        d, t = self.d, self.tgt
         value = -total
-        value += _penalty(theta[:d], self.reg.c_sel, self.reg.norm_sel)
-        value += _penalty(theta[t : t + d], self.reg.c_tgt, self.reg.norm_tgt)
+        for offset, c, norm in self.factors:
+            value += _penalty(theta[offset : offset + self.d], c, norm)
         return value
 
     def value(self, theta: np.ndarray) -> float:
@@ -299,8 +325,8 @@ class _Engine:
         total, span = self._forward(theta)
         free_rates = self.rates is None
 
-        grad_w = np.zeros((self.d, 2))
-        grad_b = np.zeros(2)
+        grad_w = np.zeros((self.d, len(self.factors)))
+        grad_b = np.zeros(len(self.factors))
         d_guess = 0.0
         d_lapse = 0.0
         for block, annotated, work in self.blocks:
@@ -313,9 +339,14 @@ class _Engine:
             np.copyto(rest, 0.0, where=np.logical_not(inside, out=inside))
             probs, dprob, raw = work.probs, work.d, work.s
             if not annotated:
+                # d(1 - product) / d(one factor) is minus the other factor,
+                # and -1 when there is no other.
                 np.negative(rest, out=rest)
-                np.multiply(rest, probs[:, 1], out=dprob[:, 0])
-                np.multiply(rest, probs[:, 0], out=dprob[:, 1])
+                if len(self.factors) == 1:
+                    dprob[:, 0] = rest
+                else:
+                    np.multiply(rest, probs[:, 1], out=dprob[:, 0])
+                    np.multiply(rest, probs[:, 0], out=dprob[:, 1])
             dz, one_minus_raw = work.a, work.c
             np.multiply(dprob, raw, out=dz)
             np.subtract(1.0, raw, out=one_minus_raw)
@@ -329,11 +360,11 @@ class _Engine:
             grad_w += block.T @ dz
             grad_b += dz.sum(axis=0)
 
-        d, t = self.d, self.tgt
-        sel_w, tgt_w = theta[:d], theta[t : t + d]
+        d = self.d
         grad = np.empty(self.n_free)
-        grad[:d] = -grad_w[:, 0] + _penalty_grad(sel_w, self.reg.c_sel, self.reg.norm_sel)
-        grad[d] = -grad_b[0]
+        for j, (offset, c, norm) in enumerate(self.factors):
+            grad[offset : offset + d] = -grad_w[:, j] + _penalty_grad(theta[offset : offset + d], c, norm)
+            grad[offset + d] = -grad_b[j]
         if free_rates:
             # Chain the rate gradients through the surrogate map: with
             # D = 1 + |g'| + |l'| the Jacobian entries are
@@ -346,14 +377,12 @@ class _Engine:
             d_l_raw = np.sign(l_raw) * ((1.0 + abs(g_raw)) * d_lapse - abs(g_raw) * d_guess) / denom
             grad[d + 1] = -d_g_raw
             grad[d + 2] = -d_l_raw
-        grad[t : t + d] = -grad_w[:, 1] + _penalty_grad(tgt_w, self.reg.c_tgt, self.reg.norm_tgt)
-        grad[t + d] = -grad_b[1]
         return self._penalized(theta, total), grad
 
 
 def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
     """The (value, value_and_grad) pair that the optimizer minimizes."""
-    engine = _Engine(data, reg, _engine_rates(kind))
+    engine = _Engine(data, reg, _LAYOUTS[kind])
     return engine.value, engine.value_and_grad
 
 
@@ -368,14 +397,14 @@ def conditional_log_likelihood(data: Dataset, params: SpmParams | PsychmParams) 
     rates = (params.guess, params.lapse) if isinstance(params, PsychmParams) else (0.0, 0.0)
     sel, tgt = params.selection, params.target
     theta = np.concatenate([sel.w, [sel.b], tgt.w, [tgt.b]])
-    return -_Engine(data, RegConfig(), rates).value(theta)
+    return -_Engine(data, RegConfig(), (2, rates, "l")).value(theta)
 
 
 def loss(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> float:
-    """Negative log-likelihood plus the two weight penalties."""
-    return _Engine(data, reg, _engine_rates(kind)).value(theta)
+    """Negative log-likelihood plus the weight penalties."""
+    return _Engine(data, reg, _LAYOUTS[kind]).value(theta)
 
 
 def loss_gradient(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> np.ndarray:
     """Gradient of :func:`loss` with respect to the free parameter vector."""
-    return _Engine(data, reg, _engine_rates(kind)).value_and_grad(theta)[1]
+    return _Engine(data, reg, _LAYOUTS[kind]).value_and_grad(theta)[1]

@@ -7,7 +7,6 @@ from puselect.estimators import (
     CvConfig,
     DegenerateDataError,
     TrainingProtocol,
-    default_optimizer,
     fit_elkan,
     fit_naive,
     fit_psychm,
@@ -97,6 +96,17 @@ class TestFitRealOracle:
         rep_o = score_report(ModelKind.REAL_ORACLE, 0, oracle.score(test.x), test.y)
         rep_n = score_report(ModelKind.NAIVE, 0, naive.score(test.x), test.y)
         assert rep_o.accuracy > rep_n.accuracy
+
+    def test_fits_the_classes_where_naive_fits_the_flags(self):
+        # The oracle is the naive logistic regression with y in the place of l.
+        data = generate(GeneratorConfig(n=600, d=3, seed=5))
+        reg = RegConfig(c_tgt=0.1)
+        oracle = fit_real_oracle(data, reg)
+        on_classes = fit_naive(Dataset(x=data.x, l=data.y), reg)
+        assert oracle.target.w.tobytes() == on_classes.target.w.tobytes()
+        assert oracle.target.b == on_classes.target.b
+        assert oracle.diagnostics == on_classes.diagnostics
+        assert oracle.target.w.tobytes() != fit_naive(data, reg).target.w.tobytes()
 
 
 class TestFitElkan:
@@ -369,7 +379,7 @@ class TestSelectHyperparams:
             fit_elkan(train.subset(np.concatenate(folds[:2])), REG0,
                       seed=est._derive_seed(cv_seed, 1, 0, 2))
 
-        cv_opt = protocol.cv_optimizer_for(ModelKind.ELKAN)
+        cv_opt = protocol.cv_optimizer_for()
         reg = select_hyperparams(train, ModelKind.ELKAN, protocol.cv, opt=cv_opt,
                                  seed=cv_seed, protocol=protocol)
         assert reg.c_tgt != 0.0
@@ -412,9 +422,3 @@ class TestTrainModel:
             model = train_model(data, kind, protocol, seed=40)
             scores = model.score(data.x)
             assert np.all(scores >= 0.0) and np.all(scores <= 1.0), kind
-
-    def test_default_optimizer_mapping(self):
-        assert default_optimizer(ModelKind.PSYCHM) == OptimizerConfig(max_iters=150)
-        assert default_optimizer(ModelKind.SPM) == OptimizerConfig(max_iters=150)
-        for kind in (ModelKind.NAIVE, ModelKind.ELKAN, ModelKind.REAL_ORACLE):
-            assert default_optimizer(kind) == OptimizerConfig(max_iters=200)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puselect.data import Dataset
-from puselect.estimators import _logistic_value_grad
 from puselect.models import LinearParams, ModelKind, PsychmParams, SpmParams, sigmoid
 from puselect.objective import (
     RegConfig,
@@ -32,6 +31,19 @@ def _random_dataset(rng, n=10, d=3):
     if l.sum() == n:
         l[0] = 0
     return Dataset(x=x, l=l)
+
+
+def _for_kind(data, kind):
+    """The oracle fits y: its data carries the flags as classes, with no
+    row annotated, so a fit of l would see another likelihood."""
+    if kind == ModelKind.REAL_ORACLE:
+        return Dataset(x=data.x, l=np.zeros(data.n, dtype=int), y=data.l)
+    return data
+
+
+# The two annotation models and the one-factor layout of the baselines;
+# Elkan's annotation model is the naive layout on its training part.
+ENGINE_KINDS = [ModelKind.SPM, ModelKind.PSYCHM, ModelKind.NAIVE, ModelKind.REAL_ORACLE]
 
 
 def _random_theta(rng, kind, d):
@@ -100,8 +112,8 @@ class TestPacking:
     def test_lengths(self):
         assert free_param_length(ModelKind.SPM, 5) == 12
         assert free_param_length(ModelKind.PSYCHM, 5) == 14
-        with pytest.raises(ValueError):
-            free_param_length(ModelKind.NAIVE, 5)
+        for kind in (ModelKind.NAIVE, ModelKind.ELKAN, ModelKind.REAL_ORACLE):
+            assert free_param_length(kind, 5) == 6
 
 
 class TestConditionalLogLikelihood:
@@ -253,12 +265,12 @@ class FiniteDifferenceMixin:
 
 
 class TestLossGradient(FiniteDifferenceMixin):
-    @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_matches_central_differences(self, kind):
         rng = np.random.default_rng(7)
         for _ in range(30):
             d = int(rng.integers(2, 6))
-            data = _random_dataset(rng, n=10, d=d)
+            data = _for_kind(_random_dataset(rng, n=10, d=d), kind)
             theta = _random_theta(rng, kind, d)
             reg = RegConfig(
                 c_sel=float(rng.uniform(0, 2)),
@@ -312,7 +324,7 @@ class TestLossGradient(FiniteDifferenceMixin):
 
 
 class TestLogisticGradient(FiniteDifferenceMixin):
-    """The naive, Elkan and oracle baselines' (value, value_and_grad) pair."""
+    """The one-factor layout that the naive, Elkan and oracle baselines fit."""
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -330,7 +342,9 @@ class TestLogisticGradient(FiniteDifferenceMixin):
         # and the zero subgradient disagree; the bias is never penalized.
         weights = rng.uniform(0.1, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
         theta = np.append(weights, rng.normal())
-        value, value_and_grad = _logistic_value_grad(x, targets, c_w, norm)
+        value, value_and_grad = make_loss_functions(
+            Dataset(x=x, l=targets), ModelKind.NAIVE, RegConfig(c_tgt=c_w, norm_tgt=norm)
+        )
         f, grad = value_and_grad(theta)
         assert f == value(theta)
         self.check_against_differences(value, grad, theta, (n, d, c_w, norm))
@@ -338,7 +352,7 @@ class TestLogisticGradient(FiniteDifferenceMixin):
 
 class TestFastClosures:
     @pytest.mark.parametrize("flags", ["mixed", "all", "none"])
-    @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM], ids=["spm", "psychm"])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_fused_matches_reference(self, kind, flags):
         # The value-only pass and the gradient pass must agree bit for bit.
         # All-annotated and none-annotated data give the engine one row block.
@@ -346,6 +360,7 @@ class TestFastClosures:
         data = _random_dataset(rng, n=30, d=3)
         if flags != "mixed":
             data = Dataset(x=data.x, l=np.full(data.n, int(flags == "all")))
+        data = _for_kind(data, kind)
         reg = RegConfig(c_sel=0.2, c_tgt=0.1)
         value, value_and_grad = make_loss_functions(data, kind, reg)
         for _ in range(5):
@@ -357,12 +372,12 @@ class TestFastClosures:
             assert value(theta) == loss(data, kind, theta, reg)
             np.testing.assert_array_equal(g, loss_gradient(data, kind, theta, reg))
 
-    @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_repeated_calls_are_independent(self, kind):
         # The engine reuses its work arrays across calls; each call must
         # still return a gradient of its own that later calls leave intact.
         rng = np.random.default_rng(12)
-        data = _random_dataset(rng, n=40, d=3)
+        data = _for_kind(_random_dataset(rng, n=40, d=3), kind)
         reg = RegConfig(c_sel=0.2, c_tgt=0.1)
         _, value_and_grad = make_loss_functions(data, kind, reg)
         thetas = [_random_theta(rng, kind, 3) for _ in range(3)]

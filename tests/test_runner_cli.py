@@ -219,10 +219,13 @@ class TestConfigFile:
         assert build_config({}) == ExperimentConfig()
 
     def test_optimizer_override(self):
-        # Any optimizer key builds one configuration for every model.
+        # An optimizer key overrides that setting alone; the others keep the
+        # one default budget that every model shares.
+        default = build_config({}).protocol.optimizer
+        assert default == TrainingProtocol().optimizer == OptimizerConfig(max_iters=150)
         cfg = build_config({"optimizer.grad_tol": "1e-3"})
-        assert cfg.protocol.optimizer == OptimizerConfig(grad_tol=1e-3)
-        assert build_config({}).protocol.optimizer is None  # per-kind defaults
+        assert cfg.protocol.optimizer == OptimizerConfig(max_iters=150, grad_tol=1e-3)
+        assert cfg.protocol.cv_optimizer_for() == OptimizerConfig(max_iters=66, grad_tol=1e-3)
 
 
 class TestCliMain:
