@@ -56,7 +56,6 @@ _EXPERIMENT = ExperimentConfig()
 _GENERATOR = GeneratorConfig()
 _CV = CvConfig()
 _PROTOCOL = TrainingProtocol()
-_OPTIMIZER = _PROTOCOL.optimizer
 
 # key -> (parser, default).  Defaults are read from the config dataclasses,
 # so they live in one place; the resolved mapping is assembled back into
@@ -81,9 +80,9 @@ CONFIG_KEYS: dict = {
     "cv.grid_sel": (_parse_floats, _CV.grid_sel),
     "cv.grid_tgt": (_parse_floats, _CV.grid_tgt),
     "cv.max_iters": (int, _PROTOCOL.cv_max_iters),  # 0: same budget as the final fit
-    "optimizer.max_iters": (int, _OPTIMIZER.max_iters),
-    "optimizer.grad_tol": (float, _OPTIMIZER.grad_tol),
-    "optimizer.history_size": (int, _OPTIMIZER.history_size),
+    "optimizer.max_iters": (int, _PROTOCOL.optimizer.max_iters),
+    "optimizer.grad_tol": (float, _PROTOCOL.optimizer.grad_tol),
+    "optimizer.history_size": (int, _PROTOCOL.optimizer.history_size),
     "reg.norm_sel": (PenaltyNorm, _PROTOCOL.norm_sel),
     "reg.norm_tgt": (PenaltyNorm, _PROTOCOL.norm_tgt),
     "elkan.holdout_frac": (float, _PROTOCOL.elkan_holdout),

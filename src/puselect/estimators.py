@@ -1,8 +1,9 @@
 """Model fitting: the two annotation-aware models, three baselines, and CV.
 
-Every fit is deterministic given (data, config, seed).  The non-convex
-fits draw their weight initializations from per-start Philox streams; the
-convex logistic baselines start at zero, so their seed argument is inert.
+Every fit is deterministic given (data, penalties, protocol, seed).  The
+non-convex fits draw their weight initializations from per-start Philox
+streams; the convex logistic baselines start at zero, so their seed
+argument is inert.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ __all__ = [
 ]
 
 _INIT_SCALE = 0.1  # std of the Gaussian weight initialization; biases start at 0
-
-# The one iteration budget of final fits, for every model.  It is calibrated
-# to the benchmark scale, where the loss plateaus long before the
-# optimizer's generic 2000-iteration cap.
-_OPTIMIZER = OptimizerConfig(max_iters=150)
 
 
 class DegenerateDataError(ValueError):
@@ -113,16 +109,33 @@ class FittedModel:
 
 @dataclass(frozen=True)
 class TrainingProtocol:
-    """Everything `train_model` needs besides the data and the model kind."""
+    """Every training setting besides the data, the model kind and the penalties.
+
+    Every ``fit_*``, `select_hyperparams` and `train_model` takes one; its
+    field defaults are the only defaults of these settings.
+    """
 
     cv: CvConfig = field(default_factory=CvConfig)
-    optimizer: OptimizerConfig = _OPTIMIZER
+    # The final-fit budget of every model, calibrated to the benchmark scale,
+    # where the loss plateaus long before the optimizer's 2000-iteration cap.
+    optimizer: OptimizerConfig = OptimizerConfig(max_iters=150)
     cv_max_iters: int | None = 66  # shortened budget for CV fits; None: the full budget
     elkan_holdout: float = 0.2
     psychm_init: tuple[float, float] = (0.7, 0.02)
     n_starts: int = 3
     norm_sel: PenaltyNorm = PenaltyNorm.L2SQ
     norm_tgt: PenaltyNorm = PenaltyNorm.L2SQ
+
+    def __post_init__(self):
+        if self.cv_max_iters is not None and self.cv_max_iters < 1:
+            raise ValueError(f"cv_max_iters must be None or >= 1, got {self.cv_max_iters}")
+        if not 0.0 < self.elkan_holdout < 1.0:
+            raise ValueError(f"elkan_holdout must be in (0, 1), got {self.elkan_holdout}")
+        guess, lapse = self.psychm_init
+        if not (0.0 < guess < 1.0 and 0.0 <= lapse < 1.0 and guess + lapse < 1.0):
+            raise ValueError(f"psychm_init {self.psychm_init}: need guess in (0,1), lapse in [0,1), sum < 1")
+        if self.n_starts < 1:
+            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
 
     def cv_optimizer_for(self) -> OptimizerConfig:
         """Optimizer for fold fits: the final fit's, capped at ``cv_max_iters``
@@ -157,7 +170,7 @@ def _fit_logistic(data, kind, reg, opt: OptimizerConfig) -> tuple[LinearParams, 
 
 
 def fit_naive(
-    data: Dataset, reg: RegConfig, opt: OptimizerConfig = _OPTIMIZER, seed: int = 0
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
 ) -> FittedModel:
     """Logistic regression of the annotation flag on x, unlabeled treated as negative.
 
@@ -166,40 +179,34 @@ def fit_naive(
     """
     if np.all(data.l == data.l[0]):
         raise DegenerateDataError("annotation flags are all equal; nothing to fit")
-    params, result = _fit_logistic(data, ModelKind.NAIVE, reg, opt)
+    params, result = _fit_logistic(data, ModelKind.NAIVE, reg, protocol.optimizer)
     return FittedModel(kind=ModelKind.NAIVE, target=params, diagnostics=_diag(result))
 
 
 def fit_real_oracle(
-    data: Dataset, reg: RegConfig, opt: OptimizerConfig = _OPTIMIZER, seed: int = 0
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
 ) -> FittedModel:
     """Logistic regression on the ground-truth classes; an upper-bound reference."""
     if data.y is None:
         raise ValueError("oracle fit needs ground-truth classes y")
     if np.all(data.y == data.y[0]):
         raise DegenerateDataError("classes are all equal; nothing to fit")
-    params, result = _fit_logistic(data, ModelKind.REAL_ORACLE, reg, opt)
+    params, result = _fit_logistic(data, ModelKind.REAL_ORACLE, reg, protocol.optimizer)
     return FittedModel(kind=ModelKind.REAL_ORACLE, target=params, diagnostics=_diag(result))
 
 
 def fit_elkan(
-    data: Dataset,
-    reg: RegConfig,
-    opt: OptimizerConfig = _OPTIMIZER,
-    holdout_frac: float = 0.2,
-    seed: int = 0,
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
 ) -> FittedModel:
     """Constant-propensity baseline: learn h(x) = p(l=1|x), then estimate the
-    labeling constant as the mean of h over annotated holdout examples."""
-    if not 0.0 < holdout_frac < 1.0:
-        raise ValueError("holdout_frac must be in (0, 1)")
-    train, holdout = split(data, 1.0 - holdout_frac, seed=_derive_seed(seed, 100))
+    labeling constant as the mean of h over the annotated holdout rows."""
+    train, holdout = split(data, 1.0 - protocol.elkan_holdout, seed=_derive_seed(seed, 100))
     if np.all(train.l == train.l[0]):
         raise DegenerateDataError("training part has all-equal annotation flags")
     labeled = holdout.l == 1
     if not np.any(labeled):
         raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")
-    params, result = _fit_logistic(train, ModelKind.ELKAN, reg, opt)
+    params, result = _fit_logistic(train, ModelKind.ELKAN, reg, protocol.optimizer)
     c_hat = float(np.mean(affine_sigmoid(holdout.x[labeled], params.w, params.b)))
     return FittedModel(
         kind=ModelKind.ELKAN, target=params, c_hat=c_hat, diagnostics=_diag(result)
@@ -224,36 +231,32 @@ def _assign_target_factor(params: SpmParams) -> SpmParams:
     return SpmParams(selection=first, target=second)
 
 
-def _best_of_starts(data, kind, reg, opt, seed, n_starts, rate_surrogates=()) -> OptimResult:
-    """Best of ``n_starts`` fits from Gaussian weights and zero biases, with
-    the rate surrogates, when the model has them, after the selection bias."""
+def _best_of_starts(data, kind, reg, protocol, seed, rate_surrogates=()) -> OptimResult:
+    """Best of ``protocol.n_starts`` fits from Gaussian weights and zero biases,
+    with the rate surrogates, when the model has them, after the selection bias."""
     value, value_and_grad = make_loss_functions(data, kind, reg)
     best = None
-    for start in range(n_starts):
+    for start in range(protocol.n_starts):
         rng = _rng(seed, start)
         # Selection weights are drawn before target weights; the order fixes
         # each start's stream.
         sel_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
         tgt_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
         theta0 = np.concatenate([sel_w, [0.0, *rate_surrogates], tgt_w, [0.0]])
-        result = minimize(value, value_and_grad, theta0, opt)
+        result = minimize(value, value_and_grad, theta0, protocol.optimizer)
         if best is None or result.loss < best.loss:
             best = result
     return best
 
 
 def fit_spm(
-    data: Dataset,
-    reg: RegConfig,
-    opt: OptimizerConfig = _OPTIMIZER,
-    seed: int = 0,
-    n_starts: int = 1,
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
 ) -> FittedModel:
     """Maximum-likelihood fit of the sigmoid-product model.
 
     A non-converged optimizer is reported in the diagnostics, not raised.
     """
-    best = _best_of_starts(data, ModelKind.SPM, reg, opt, seed, n_starts)
+    best = _best_of_starts(data, ModelKind.SPM, reg, protocol, seed)
     ordered = _assign_target_factor(unpack_spm(best.params, data.dim))
     return FittedModel(
         kind=ModelKind.SPM,
@@ -264,21 +267,14 @@ def fit_spm(
 
 
 def fit_psychm(
-    data: Dataset,
-    reg: RegConfig,
-    opt: OptimizerConfig = _OPTIMIZER,
-    init_guess: float = 0.7,
-    init_lapse: float = 0.02,
-    seed: int = 0,
-    n_starts: int = 1,
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
 ) -> FittedModel:
     """Maximum-likelihood fit of the psychometric model via the unconstrained
-    rate surrogates; the target factor is the classifier directly."""
-    if not (0.0 < init_guess < 1.0 and 0.0 <= init_lapse < 1.0 and init_guess + init_lapse < 1.0):
-        raise ValueError("need init_guess in (0,1), init_lapse in [0,1), sum < 1")
+    rate surrogates, started at the protocol's ``psychm_init`` rates; the
+    target factor is the classifier directly."""
     d = data.dim
-    surrogates = unconstrain_rates(init_guess, init_lapse)
-    best = _best_of_starts(data, ModelKind.PSYCHM, reg, opt, seed, n_starts, surrogates)
+    surrogates = unconstrain_rates(*protocol.psychm_init)
+    best = _best_of_starts(data, ModelKind.PSYCHM, reg, protocol, seed, surrogates)
     params = unpack_psychm(best.params, d)
     notes = ("selection rates are not identifiable with 1-dimensional features",) if d == 1 else ()
     return FittedModel(
@@ -295,46 +291,39 @@ def fit_psychm(
 # Hyperparameter selection and the one-call training entry point
 
 
-def _fit_kind(data, kind, reg, opt, seed, protocol: TrainingProtocol) -> FittedModel:
-    if kind == ModelKind.NAIVE:
-        return fit_naive(data, reg, opt, seed=seed)
-    if kind == ModelKind.REAL_ORACLE:
-        return fit_real_oracle(data, reg, opt, seed=seed)
-    if kind == ModelKind.ELKAN:
-        return fit_elkan(data, reg, opt, holdout_frac=protocol.elkan_holdout, seed=seed)
-    if kind == ModelKind.SPM:
-        return fit_spm(data, reg, opt, seed=seed, n_starts=protocol.n_starts)
-    if kind == ModelKind.PSYCHM:
-        init_guess, init_lapse = protocol.psychm_init
-        return fit_psychm(
-            data, reg, opt,
-            init_guess=init_guess, init_lapse=init_lapse,
-            seed=seed, n_starts=protocol.n_starts,
-        )
-    raise ValueError(f"unknown model kind {kind}")
+# Looked up by name at call time, so that a fit replaced on this module
+# (a test double, a tracing wrapper) is the one that runs.
+_FIT_NAMES = {
+    ModelKind.NAIVE: "fit_naive",
+    ModelKind.REAL_ORACLE: "fit_real_oracle",
+    ModelKind.ELKAN: "fit_elkan",
+    ModelKind.SPM: "fit_spm",
+    ModelKind.PSYCHM: "fit_psychm",
+}
+
+
+def _fit_kind(data, kind, reg, protocol: TrainingProtocol, seed) -> FittedModel:
+    return globals()[_FIT_NAMES[kind]](data, reg, protocol, seed)
 
 
 def select_hyperparams(
-    data: Dataset,
-    kind: ModelKind,
-    cv: CvConfig,
-    opt: OptimizerConfig = _OPTIMIZER,
-    seed: int = 0,
-    protocol: TrainingProtocol | None = None,
+    data: Dataset, kind: ModelKind, protocol: TrainingProtocol, seed: int = 0
 ) -> RegConfig:
     """Pick penalty coefficients by k-fold CV Brier score of p(l|x) against l.
 
-    Ties go to the more regularized pair: larger coefficient sum, then
-    larger target penalty, then larger selection penalty.  Models without a
-    selection factor are fitted once per distinct target penalty.  A cell
-    whose fold fit hits degenerate data or a non-finite loss is failed and
-    never selected; if every cell fails, a ValueError names the model.
+    The grid and fold count are ``protocol.cv``.  Fold fits run one start
+    each at ``protocol.cv_optimizer_for()``; restarts are reserved for the
+    final fit.  Ties go to the more regularized pair: larger coefficient
+    sum, then larger target penalty, then larger selection penalty.  Models
+    without a selection factor are fitted once per target penalty, at the
+    largest selection penalty, the cell that tie-break picks.  A cell whose
+    fold fit hits degenerate data or a non-finite loss is failed and never
+    selected; if every cell fails, a ValueError names the model.
     """
-    protocol = protocol or TrainingProtocol(cv=cv)
-    # Fold fits only rank penalty pairs; restarts are reserved for the final fit.
-    protocol = replace(protocol, n_starts=1)
+    cv = protocol.cv
     if data.n < cv.folds:
         raise ValueError(f"need at least {cv.folds} rows for {cv.folds}-fold CV")
+    fold_protocol = replace(protocol, optimizer=protocol.cv_optimizer_for(), n_starts=1)
     perm = _rng(seed, 0).permutation(data.n)
     folds = np.array_split(perm, cv.folds)
     # (train, validation) per fold, built once for the whole grid.
@@ -344,51 +333,31 @@ def select_hyperparams(
     ]
 
     has_selection = kind in (ModelKind.SPM, ModelKind.PSYCHM)
-    cache: dict[tuple, float | None] = {}
-
-    def mean_brier(sel_idx: int, tgt_idx: int, c_sel: float, c_tgt: float) -> float | None:
+    sel_axis = enumerate(cv.grid_sel) if has_selection else [(None, max(cv.grid_sel))]
+    best = None
+    for (sel_idx, c_sel), (tgt_idx, c_tgt) in product(sel_axis, enumerate(cv.grid_tgt)):
         key = (sel_idx, tgt_idx) if has_selection else (tgt_idx,)
-        if key in cache:
-            return cache[key]
         reg = RegConfig(
             c_sel=c_sel, c_tgt=c_tgt, norm_sel=protocol.norm_sel, norm_tgt=protocol.norm_tgt
         )
         scores = []
-        for f, (train, val) in enumerate(fold_data):
-            fit_seed = _derive_seed(seed, 1, *key, f)
-            try:
-                model = _fit_kind(train, kind, reg, opt, fit_seed, protocol)
-            except (DegenerateDataError, NonFiniteError):
-                cache[key] = None
-                return None
-            scores.append(brier(model.annotation_probability(val.x), val.l))
-        cache[key] = float(np.mean(scores))
-        return cache[key]
-
-    best = None
-    for (sel_idx, c_sel), (tgt_idx, c_tgt) in product(
-        enumerate(cv.grid_sel), enumerate(cv.grid_tgt)
-    ):
-        score = mean_brier(sel_idx, tgt_idx, c_sel, c_tgt)
-        if score is None:
+        try:
+            for f, (train, val) in enumerate(fold_data):
+                model = _fit_kind(train, kind, reg, fold_protocol, _derive_seed(seed, 1, *key, f))
+                scores.append(brier(model.annotation_probability(val.x), val.l))
+        except (DegenerateDataError, NonFiniteError):
             continue
-        rank = (score, -(c_sel + c_tgt), -c_tgt, -c_sel)
+        rank = (float(np.mean(scores)), -(c_sel + c_tgt), -c_tgt, -c_sel)
         if best is None or rank < best[0]:
-            best = (rank, c_sel, c_tgt)
+            best = (rank, reg)
     if best is None:
         raise ValueError(f"every cross-validation cell failed for model {kind.value}")
-    _, c_sel, c_tgt = best
-    return RegConfig(
-        c_sel=c_sel, c_tgt=c_tgt, norm_sel=protocol.norm_sel, norm_tgt=protocol.norm_tgt
-    )
+    return best[1]
 
 
 def train_model(
     data: Dataset, kind: ModelKind, protocol: TrainingProtocol, seed: int = 0
 ) -> FittedModel:
     """Cross-validated penalty selection followed by the final fit."""
-    reg = select_hyperparams(
-        data, kind, protocol.cv, opt=protocol.cv_optimizer_for(), seed=_derive_seed(seed, 0),
-        protocol=protocol,
-    )
-    return _fit_kind(data, kind, reg, protocol.optimizer, _derive_seed(seed, 1), protocol)
+    reg = select_hyperparams(data, kind, protocol, seed=_derive_seed(seed, 0))
+    return _fit_kind(data, kind, reg, protocol, _derive_seed(seed, 1))

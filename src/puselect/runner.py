@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise ValueError("trials, resamples, and jobs must be >= 1")
         if not self.models:
             raise ValueError("at least one model kind is required")
+        if len(set(self.models)) != len(self.models):
+            raise ValueError(f"models must not repeat, got {','.join(k.value for k in self.models)}")
+        if not 0.0 <= self.quantile_rule <= 1.0:
+            raise ValueError(f"quantile_rule must be in [0, 1], got {self.quantile_rule}")
 
 
 @dataclass(frozen=True)

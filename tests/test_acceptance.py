@@ -283,7 +283,7 @@ class TestCriterion4IdentifiabilityRecovery:
         data = generate(
             GeneratorConfig(n=20000, d=3, seed=4242, guess=0.0, lapse=0.0), params=truth
         )
-        model = fit_spm(data, RegConfig(), seed=11, n_starts=5)
+        model = fit_spm(data, RegConfig(), TrainingProtocol(n_starts=5), seed=11)
         cos = float(
             model.target.w
             @ truth.target.w
@@ -308,7 +308,7 @@ class TestCriterion4IdentifiabilityRecovery:
         data = generate(
             GeneratorConfig(n=20000, d=3, seed=777, guess=0.2, lapse=0.1), params=truth
         )
-        model = fit_psychm(data, RegConfig(), seed=13, n_starts=5)
+        model = fit_psychm(data, RegConfig(), TrainingProtocol(n_starts=5), seed=13)
         guess_err = abs(model.guess - 0.2)
         lapse_err = abs(model.lapse - 0.1)
         ok = guess_err <= 0.1 and lapse_err <= 0.1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from puselect.estimators import fit_psychm
+from puselect.estimators import TrainingProtocol, fit_psychm
 from puselect.objective import RegConfig
 from puselect.optimize import NonFiniteError, OptimizerConfig, minimize
 from puselect.synth import GeneratorConfig, generate
@@ -215,5 +215,8 @@ def test_poorly_scaled_direction_reaches_the_line_minimum():
     # Clipping the cubic trial to the bracket's inner 80% shrinks the step
     # tenfold per probe and reaches it; bisecting stalls at loss 436.
     data = generate(GeneratorConfig(n=1667, seed=302))
-    model = fit_psychm(data, RegConfig(1.0, 0.1), OptimizerConfig(max_iters=66), seed=2)
+    model = fit_psychm(
+        data, RegConfig(1.0, 0.1),
+        TrainingProtocol(optimizer=OptimizerConfig(max_iters=66), n_starts=1), seed=2,
+    )
     assert model.diagnostics.loss <= 297.5

@@ -283,6 +283,27 @@ class TestCliMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--fit.n_starts", "0"], "n_starts"),
+            (["--elkan.holdout_frac", "1.5"], "1.5"),
+            (["--psychm.init_guess", "0"], "(0.0, 0.02)"),
+            (["--models", "naive,naive"], "naive,naive"),
+            (["--models", "naive,real,naive"], "naive,real,naive"),
+            (["--quantile-rule", "2"], "2.0"),
+        ],
+    )
+    def test_invalid_value_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, flags, named):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was trained before the input was checked")
+
+        monkeypatch.setattr(runner, "train_model", no_fit)
+        code = main(["bench-synth", "--trials", "1", *self._flags(tmp_path), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err
+
     def test_config_file_flag(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("generator.n=200\ngenerator.d=2\ntrials=1\n"
