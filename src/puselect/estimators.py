@@ -1,15 +1,16 @@
 """Model fitting: the two annotation-aware models, three baselines, and CV.
 
-Every fit is deterministic given (data, penalties, protocol, seed).  The
-non-convex fits draw their weight initializations from per-start Philox
+Every fit is deterministic given (data, penalties, protocol, seed, init).
+The non-convex fits draw their weight initializations from per-start Philox
 streams; the convex logistic baselines start at zero, so their seed
-argument is inert.
+argument is inert.  An ``init`` vector, the ``theta`` of an earlier fit of
+the same model, replaces the first start; cross-validation uses it to walk
+each fold along a warm-started regularization path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import product
 
 import numpy as np
 
@@ -63,6 +64,10 @@ class CvConfig:
             raise ValueError("penalty grids must be nonempty")
         if min(self.grid_sel) < 0 or min(self.grid_tgt) < 0:
             raise ValueError("penalty coefficients must be nonnegative")
+        for name, grid in (("grid_sel", self.grid_sel), ("grid_tgt", self.grid_tgt)):
+            repeated = sorted({c for c in grid if grid.count(c) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats the penalty value(s) {repeated}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,9 @@ class FittedModel:
 
     ``target`` always holds the sigmoid the classifier evaluates, except
     for the Elkan baseline where it holds the annotation model h and the
-    score is min(1, h / c_hat).
+    score is min(1, h / c_hat).  ``reg`` holds the penalties of the fit,
+    and ``theta`` the optimizer's final free-parameter vector, before SPM's
+    factor assignment: a warm start for a fit of the same model.
     """
 
     kind: ModelKind
@@ -90,6 +97,8 @@ class FittedModel:
     guess: float | None = None
     lapse: float | None = None
     c_hat: float | None = None
+    reg: RegConfig | None = None
+    theta: np.ndarray | None = None
 
     def score(self, x) -> np.ndarray:
         h = affine_sigmoid(x, self.target.w, self.target.b)
@@ -159,18 +168,22 @@ def _diag(result: OptimResult, notes: tuple[str, ...] = ()) -> FitDiagnostics:
 # Logistic regression (naive / oracle / Elkan's annotation model)
 
 
-def _fit_logistic(data, kind, reg, opt: OptimizerConfig) -> tuple[LinearParams, OptimResult]:
+def _fit_logistic(data, kind, reg, opt: OptimizerConfig, init) -> FittedModel:
     """The one-factor layout of the likelihood engine: a logistic regression
-    of l (y for the oracle) on x, penalized by ``reg.c_tgt``."""
+    of l (y for the oracle) on x, penalized by ``reg.c_tgt``, from ``init``
+    or zero."""
     # The problem is convex, so the zero start is as good as any and keeps
     # the baselines seed-independent.
-    theta0 = np.zeros(data.dim + 1)
+    theta0 = np.zeros(data.dim + 1) if init is None else init
     result = minimize(*make_loss_functions(data, kind, reg), theta0, opt)
-    return LinearParams(w=result.params[:-1], b=result.params[-1]), result
+    target = LinearParams(w=result.params[:-1], b=result.params[-1])
+    return FittedModel(
+        kind=kind, target=target, diagnostics=_diag(result), reg=reg, theta=result.params
+    )
 
 
 def fit_naive(
-    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
 ) -> FittedModel:
     """Logistic regression of the annotation flag on x, unlabeled treated as negative.
 
@@ -179,24 +192,22 @@ def fit_naive(
     """
     if np.all(data.l == data.l[0]):
         raise DegenerateDataError("annotation flags are all equal; nothing to fit")
-    params, result = _fit_logistic(data, ModelKind.NAIVE, reg, protocol.optimizer)
-    return FittedModel(kind=ModelKind.NAIVE, target=params, diagnostics=_diag(result))
+    return _fit_logistic(data, ModelKind.NAIVE, reg, protocol.optimizer, init)
 
 
 def fit_real_oracle(
-    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
 ) -> FittedModel:
     """Logistic regression on the ground-truth classes; an upper-bound reference."""
     if data.y is None:
         raise ValueError("oracle fit needs ground-truth classes y")
     if np.all(data.y == data.y[0]):
         raise DegenerateDataError("classes are all equal; nothing to fit")
-    params, result = _fit_logistic(data, ModelKind.REAL_ORACLE, reg, protocol.optimizer)
-    return FittedModel(kind=ModelKind.REAL_ORACLE, target=params, diagnostics=_diag(result))
+    return _fit_logistic(data, ModelKind.REAL_ORACLE, reg, protocol.optimizer, init)
 
 
 def fit_elkan(
-    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
 ) -> FittedModel:
     """Constant-propensity baseline: learn h(x) = p(l=1|x), then estimate the
     labeling constant as the mean of h over the annotated holdout rows."""
@@ -206,11 +217,9 @@ def fit_elkan(
     labeled = holdout.l == 1
     if not np.any(labeled):
         raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")
-    params, result = _fit_logistic(train, ModelKind.ELKAN, reg, protocol.optimizer)
-    c_hat = float(np.mean(affine_sigmoid(holdout.x[labeled], params.w, params.b)))
-    return FittedModel(
-        kind=ModelKind.ELKAN, target=params, c_hat=c_hat, diagnostics=_diag(result)
-    )
+    model = _fit_logistic(train, ModelKind.ELKAN, reg, protocol.optimizer, init)
+    h = model.target
+    return replace(model, c_hat=float(np.mean(affine_sigmoid(holdout.x[labeled], h.w, h.b))))
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +240,22 @@ def _assign_target_factor(params: SpmParams) -> SpmParams:
     return SpmParams(selection=first, target=second)
 
 
-def _best_of_starts(data, kind, reg, protocol, seed, rate_surrogates=()) -> OptimResult:
+def _best_of_starts(data, kind, reg, protocol, seed, init, rate_surrogates=()) -> OptimResult:
     """Best of ``protocol.n_starts`` fits from Gaussian weights and zero biases,
-    with the rate surrogates, when the model has them, after the selection bias."""
+    with the rate surrogates, when the model has them, after the selection
+    bias; ``init``, when given, is the first start instead."""
     value, value_and_grad = make_loss_functions(data, kind, reg)
     best = None
     for start in range(protocol.n_starts):
-        rng = _rng(seed, start)
-        # Selection weights are drawn before target weights; the order fixes
-        # each start's stream.
-        sel_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
-        tgt_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
-        theta0 = np.concatenate([sel_w, [0.0, *rate_surrogates], tgt_w, [0.0]])
+        if start == 0 and init is not None:
+            theta0 = init
+        else:
+            rng = _rng(seed, start)
+            # Selection weights are drawn before target weights; the order
+            # fixes each start's stream.
+            sel_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
+            tgt_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
+            theta0 = np.concatenate([sel_w, [0.0, *rate_surrogates], tgt_w, [0.0]])
         result = minimize(value, value_and_grad, theta0, protocol.optimizer)
         if best is None or result.loss < best.loss:
             best = result
@@ -250,31 +263,33 @@ def _best_of_starts(data, kind, reg, protocol, seed, rate_surrogates=()) -> Opti
 
 
 def fit_spm(
-    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
 ) -> FittedModel:
     """Maximum-likelihood fit of the sigmoid-product model.
 
     A non-converged optimizer is reported in the diagnostics, not raised.
     """
-    best = _best_of_starts(data, ModelKind.SPM, reg, protocol, seed)
+    best = _best_of_starts(data, ModelKind.SPM, reg, protocol, seed, init)
     ordered = _assign_target_factor(unpack_spm(best.params, data.dim))
     return FittedModel(
         kind=ModelKind.SPM,
         target=ordered.target,
         selection=ordered.selection,
         diagnostics=_diag(best),
+        reg=reg,
+        theta=best.params,
     )
 
 
 def fit_psychm(
-    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
 ) -> FittedModel:
     """Maximum-likelihood fit of the psychometric model via the unconstrained
     rate surrogates, started at the protocol's ``psychm_init`` rates; the
     target factor is the classifier directly."""
     d = data.dim
     surrogates = unconstrain_rates(*protocol.psychm_init)
-    best = _best_of_starts(data, ModelKind.PSYCHM, reg, protocol, seed, surrogates)
+    best = _best_of_starts(data, ModelKind.PSYCHM, reg, protocol, seed, init, surrogates)
     params = unpack_psychm(best.params, d)
     notes = ("selection rates are not identifiable with 1-dimensional features",) if d == 1 else ()
     return FittedModel(
@@ -284,6 +299,8 @@ def fit_psychm(
         guess=params.guess,
         lapse=params.lapse,
         diagnostics=_diag(best, notes),
+        reg=reg,
+        theta=best.params,
     )
 
 
@@ -302,8 +319,29 @@ _FIT_NAMES = {
 }
 
 
-def _fit_kind(data, kind, reg, protocol: TrainingProtocol, seed) -> FittedModel:
-    return globals()[_FIT_NAMES[kind]](data, reg, protocol, seed)
+def _fit_kind(data, kind, reg, protocol: TrainingProtocol, seed, init=None) -> FittedModel:
+    return globals()[_FIT_NAMES[kind]](data, reg, protocol, seed, init)
+
+
+def _cv_path(cv: CvConfig, has_selection: bool) -> list[tuple[tuple[int, ...], float, float]]:
+    """The live grid cells as ``(key, c_sel, c_tgt)``, ``key`` being the
+    cell's grid indices, in regularization-path order: selection penalty from
+    largest to smallest, and within each, the target penalty from largest to
+    smallest and back on the next row, so that consecutive cells differ in
+    one coefficient by one grid step.  Models without a selection factor
+    walk the target axis only, at the largest selection penalty."""
+
+    def descending(grid):
+        return sorted(range(len(grid)), key=grid.__getitem__, reverse=True)
+
+    tgt = descending(cv.grid_tgt)
+    if not has_selection:
+        return [((t,), max(cv.grid_sel), cv.grid_tgt[t]) for t in tgt]
+    return [
+        ((s, t), cv.grid_sel[s], cv.grid_tgt[t])
+        for row, s in enumerate(descending(cv.grid_sel))
+        for t in (tgt if row % 2 == 0 else tgt[::-1])
+    ]
 
 
 def select_hyperparams(
@@ -313,12 +351,15 @@ def select_hyperparams(
 
     The grid and fold count are ``protocol.cv``.  Fold fits run one start
     each at ``protocol.cv_optimizer_for()``; restarts are reserved for the
-    final fit.  Ties go to the more regularized pair: larger coefficient
-    sum, then larger target penalty, then larger selection penalty.  Models
-    without a selection factor are fitted once per target penalty, at the
-    largest selection penalty, the cell that tie-break picks.  A cell whose
-    fold fit hits degenerate data or a non-finite loss is failed and never
-    selected; if every cell fails, a ValueError names the model.
+    final fit.  Each fold walks the cells in `_cv_path` order: its first fit
+    starts from the cell's seeded draw (zero for the baselines), and every
+    later fit from the fold's last successful optimum.  Ties go to the more
+    regularized pair: larger coefficient sum, then larger target penalty,
+    then larger selection penalty.  Models without a selection factor are
+    fitted once per target penalty, at the largest selection penalty, the
+    cell that tie-break picks.  A cell whose fold fit hits degenerate data
+    or a non-finite loss is failed and never selected; if every cell fails,
+    a ValueError names the model.
     """
     cv = protocol.cv
     if data.n < cv.folds:
@@ -333,17 +374,19 @@ def select_hyperparams(
     ]
 
     has_selection = kind in (ModelKind.SPM, ModelKind.PSYCHM)
-    sel_axis = enumerate(cv.grid_sel) if has_selection else [(None, max(cv.grid_sel))]
+    warm = [None] * cv.folds  # per fold: the free parameters of its last successful fit
     best = None
-    for (sel_idx, c_sel), (tgt_idx, c_tgt) in product(sel_axis, enumerate(cv.grid_tgt)):
-        key = (sel_idx, tgt_idx) if has_selection else (tgt_idx,)
+    for key, c_sel, c_tgt in _cv_path(cv, has_selection):
         reg = RegConfig(
             c_sel=c_sel, c_tgt=c_tgt, norm_sel=protocol.norm_sel, norm_tgt=protocol.norm_tgt
         )
         scores = []
         try:
             for f, (train, val) in enumerate(fold_data):
-                model = _fit_kind(train, kind, reg, fold_protocol, _derive_seed(seed, 1, *key, f))
+                model = _fit_kind(
+                    train, kind, reg, fold_protocol, _derive_seed(seed, 1, *key, f), warm[f]
+                )
+                warm[f] = model.theta
                 scores.append(brier(model.annotation_probability(val.x), val.l))
         except (DegenerateDataError, NonFiniteError):
             continue

@@ -33,7 +33,8 @@ LOWER_IS_BETTER = ("brier",)
 class MetricReport:
     """Scores of one model on one trial; auc is None when the test truth is
     single-class.  ``converged`` is the fit's diagnostic, counted in the
-    aggregate but not written per row."""
+    aggregate but not written per row; ``c_sel`` and ``c_tgt`` are the
+    penalties the fit used, written per row."""
 
     model: ModelKind
     trial_id: int
@@ -42,6 +43,8 @@ class MetricReport:
     auc: float | None
     brier: float
     converged: bool = True
+    c_sel: float | None = None
+    c_tgt: float | None = None
 
 
 def _pair(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -191,10 +191,13 @@ def _aggregate(
 
 
 def _report_rows(reports: list[MetricReport], provenance: str) -> str:
-    lines = [f"# {provenance}", "model,trial_id,f1,accuracy,auc,brier"]
+    lines = [f"# {provenance}", "model,trial_id,f1,accuracy,auc,brier,c_sel,c_tgt"]
     for r in reports:
         auc = "" if r.auc is None else repr(r.auc)
-        lines.append(f"{r.model.value},{r.trial_id},{r.f1!r},{r.accuracy!r},{auc},{r.brier!r}")
+        lines.append(
+            f"{r.model.value},{r.trial_id},{r.f1!r},{r.accuracy!r},{auc},{r.brier!r},"
+            f"{r.c_sel!r},{r.c_tgt!r}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -240,7 +243,14 @@ def _train_and_score(
     for k_idx, kind in enumerate(kinds):
         model = train_model(train, kind, protocol, seed=_derive_seed(seed, unit, 2, k_idx))
         report = score_report(kind, unit, model.score(test.x), test.y)
-        reports.append(replace(report, converged=model.diagnostics.converged))
+        reports.append(
+            replace(
+                report,
+                converged=model.diagnostics.converged,
+                c_sel=model.reg.c_sel,
+                c_tgt=model.reg.c_tgt,
+            )
+        )
     return reports
 
 
@@ -357,6 +367,7 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
         "seed": cfg.seed,
         "config": _jsonable(cfg),
         "params": _model_params_json(model),
+        "penalties": {"c_sel": model.reg.c_sel, "c_tgt": model.reg.c_tgt},
         "diagnostics": _jsonable(model.diagnostics),
         "training_metrics": training,
     }

@@ -35,6 +35,8 @@ from puselect.objective import RegConfig, free_param_length, loss, loss_gradient
 from puselect.runner import ExperimentConfig, _derive_seed, bootstrap_evaluate, run_synth_benchmark
 from puselect.synth import GeneratorConfig, generate
 
+pytestmark = pytest.mark.acceptance
+
 ALL_KINDS = (ModelKind.SPM, ModelKind.PSYCHM, ModelKind.NAIVE, ModelKind.ELKAN,
              ModelKind.REAL_ORACLE)
 

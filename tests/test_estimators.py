@@ -321,9 +321,9 @@ class TestTrainingProtocol:
         seen = []
         original = est._fit_kind
 
-        def recording(data, kind, reg, protocol, seed):
+        def recording(data, kind, reg, protocol, seed, init=None):
             seen.append((protocol.optimizer.max_iters, protocol.n_starts))
-            return original(data, kind, reg, protocol, seed)
+            return original(data, kind, reg, protocol, seed, init)
 
         monkeypatch.setattr(est, "_fit_kind", recording)
         train_model(data, ModelKind.SPM, protocol, seed=44)
@@ -390,6 +390,17 @@ class TestSelectHyperparams:
         with pytest.raises(ValueError):
             CvConfig(grid_sel=(), grid_tgt=(0.1,))
 
+    @pytest.mark.parametrize(
+        "grids, named",
+        [
+            (dict(grid_sel=(0.1, 0.1, 0.0)), r"grid_sel .*\[0\.1\]"),
+            (dict(grid_tgt=(1.0, 0.0, 1.0, 0.0)), r"grid_tgt .*\[0\.0, 1\.0\]"),
+        ],
+    )
+    def test_repeated_penalty_rejected(self, grids, named):
+        with pytest.raises(ValueError, match=named):
+            CvConfig(**grids)
+
     def test_too_few_rows_rejected(self):
         data = Dataset(x=np.ones((2, 1)), l=np.array([0, 1]))
         with pytest.raises(ValueError):
@@ -431,6 +442,99 @@ class TestSelectHyperparams:
             select_hyperparams(data, ModelKind.ELKAN, full_budget(cv), seed=42)
 
 
+def recording_fits(monkeypatch):
+    """Replace `_fit_kind` with a pass-through that records every fold fit
+    as a dict of its arguments and result, ``fold`` counting the distinct
+    training sets in order of first use."""
+    calls, folds = [], {}
+    original = est._fit_kind
+
+    def recording(data, kind, reg, protocol, seed, init=None):
+        model = original(data, kind, reg, protocol, seed, init)
+        fold = folds.setdefault(id(data), len(folds))
+        calls.append(dict(data=data, fold=fold, reg=reg, protocol=protocol, seed=seed,
+                          init=init, model=model))
+        return model
+
+    monkeypatch.setattr(est, "_fit_kind", recording)
+    return calls
+
+
+class TestRegularizationPath:
+    def test_cells_snake_from_the_largest_penalties(self, monkeypatch):
+        data = generate(GeneratorConfig(n=120, d=2, seed=47))
+        cv = CvConfig(folds=2, grid_sel=(0.1, 1.0, 0.0), grid_tgt=(0.0, 10.0, 0.1))
+        protocol = TrainingProtocol(cv=cv, cv_max_iters=5)
+        snake = [(1.0, 10.0), (1.0, 0.1), (1.0, 0.0),
+                 (0.1, 0.0), (0.1, 0.1), (0.1, 10.0),
+                 (0.0, 10.0), (0.0, 0.1), (0.0, 0.0)]
+        for kind, path in ((ModelKind.SPM, snake), (ModelKind.NAIVE, snake[:3])):
+            calls = recording_fits(monkeypatch)
+            select_hyperparams(data, kind, protocol, seed=48)
+            for f in range(cv.folds):
+                fold_calls = [c for c in calls if c["fold"] == f]
+                assert [(c["reg"].c_sel, c["reg"].c_tgt) for c in fold_calls] == path
+                # the first cell's seed is keyed by its grid indices, as every cell's
+                key = (1, 1) if kind == ModelKind.SPM else (1,)
+                assert fold_calls[0]["seed"] == est._derive_seed(48, 1, *key, f)
+                assert fold_calls[0]["init"] is None
+                for prev, call in zip(fold_calls, fold_calls[1:]):
+                    assert call["init"] is prev["model"].theta
+
+    @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM])
+    def test_one_cell_grid_fits_the_cold_start_bits(self, monkeypatch, kind):
+        data = generate(GeneratorConfig(n=150, d=2, seed=49))
+        protocol = TrainingProtocol(cv=CvConfig(folds=2, grid_sel=(0.01,), grid_tgt=(0.01,)))
+        calls = recording_fits(monkeypatch)
+        select_hyperparams(data, kind, protocol, seed=50)
+        fold_calls = list(calls)
+        assert len(fold_calls) == 2
+        for c in fold_calls:
+            assert c["init"] is None
+            cold = est._fit_kind(c["data"], kind, c["reg"], c["protocol"], c["seed"])
+            assert cold.theta.tobytes() == c["model"].theta.tobytes()
+            assert cold.target.w.tobytes() == c["model"].target.w.tobytes()
+
+    def test_warm_started_naive_reaches_the_zero_start_loss(self):
+        data = generate(GeneratorConfig(n=600, d=3, seed=51))
+        cv_optimizer = TrainingProtocol().cv_optimizer_for()
+        fold_protocol = TrainingProtocol(optimizer=cv_optimizer, n_starts=1)
+        reg = RegConfig(c_tgt=0.01)
+        neighbour = fit_naive(data, RegConfig(c_tgt=0.1), fold_protocol)
+        cold = fit_naive(data, reg, fold_protocol)
+        warm = fit_naive(data, reg, fold_protocol, init=neighbour.theta)
+        assert warm.theta.tobytes() != cold.theta.tobytes()
+        assert warm.diagnostics.loss == pytest.approx(cold.diagnostics.loss, rel=1e-9)
+
+    @pytest.mark.parametrize("failing_cell", [0, 1])
+    def test_failed_cell_hands_on_the_last_good_optimum(self, monkeypatch, failing_cell):
+        # Path 1.0 -> 0.1 -> 0.0; one cell's first fold fit raises.
+        data = generate(GeneratorConfig(n=150, d=2, seed=52))
+        cv = CvConfig(folds=2, grid_sel=(0.0,), grid_tgt=(0.0, 0.1, 1.0))
+        path = (1.0, 0.1, 0.0)
+        calls = recording_fits(monkeypatch)
+        recording = est._fit_kind
+
+        def failing(data, kind, reg, protocol, seed, init=None):
+            if reg.c_tgt == path[failing_cell]:
+                raise DegenerateDataError("forced failure")
+            return recording(data, kind, reg, protocol, seed, init)
+
+        monkeypatch.setattr(est, "_fit_kind", failing)
+        protocol = TrainingProtocol(cv=cv, cv_max_iters=5)
+        reg = select_hyperparams(data, ModelKind.SPM, protocol, seed=53)
+        assert reg.c_tgt != path[failing_cell]
+        after = path[failing_cell + 1]
+        for f in range(cv.folds):
+            fold_calls = {c["reg"].c_tgt: c for c in calls if c["fold"] == f}
+            assert path[failing_cell] not in fold_calls
+            if failing_cell == 0:  # no good optimum yet: a first cell's start
+                assert fold_calls[after]["init"] is None
+                assert fold_calls[after]["seed"] == est._derive_seed(53, 1, 0, 1, f)
+            else:
+                assert fold_calls[after]["init"] is fold_calls[path[0]]["model"].theta
+
+
 class TestWrongTargetRegressions:
     """Seeded datasets on which SPM fitted, or fits, a wrong target."""
 
@@ -453,6 +557,27 @@ class TestWrongTargetRegressions:
             _, test = split(sample, 0.5, seed=est._derive_seed(seed, r, 1))
             rule = (affine_sigmoid(test.x, truth.w, truth.b) >= 0.5).astype(int)
             assert rep.f1 >= f1(rule, test.y) - 0.1, r
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="factors swapped, not seed 8's steeper-factor case: the reported target has "
+        "cosine 0.995 with the true selection, and the factor nearest the true target "
+        "(cosine 0.949) has norm 2.8 against 8.3, although the true target is the steeper "
+        "one (19.7 against 17.3)",
+    )
+    def test_bench_synth_seed_777_trial_31_spm_near_true_target_rule(self):
+        # Trial 31 of `bench-synth --models spm,real --seed 777`: SPM F1 0.768
+        # against 0.972 for the true-target rule; the other 39 of 40 trials
+        # are within 0.05 of it.
+        seed, trial = 777, 31
+        data = generate(GeneratorConfig(seed=est._derive_seed(seed, trial, 0)))
+        train, test = split(data, 0.5, seed=est._derive_seed(seed, trial, 1))
+        model = train_model(train, ModelKind.SPM, TrainingProtocol(),
+                            seed=est._derive_seed(seed, trial, 2, 0))
+        truth = data.true_params.target
+        rule = (affine_sigmoid(test.x, truth.w, truth.b) >= 0.5).astype(int)
+        pred = (model.score(test.x) >= 0.5).astype(int)
+        assert f1(pred, test.y) >= f1(rule, test.y) - 0.1
 
     def test_fit_large_seed_13003_spm_recovers_target(self):
         # `fit --model spm --seed 13003 --cv.grid_sel 0.01 --cv.grid_tgt 0.01`

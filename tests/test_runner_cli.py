@@ -93,8 +93,12 @@ class TestRunSynthBenchmark:
         table = run_synth_benchmark(cfg)
         lines = (tmp_path / "out" / "trials.csv").read_text().splitlines()
         assert lines[0].startswith("# ") and '"seed": 5' in lines[0]  # provenance comment
-        assert lines[1] == "model,trial_id,f1,accuracy,auc,brier"
+        assert lines[1] == "model,trial_id,f1,accuracy,auc,brier,c_sel,c_tgt"
         assert len(lines) == 2 + cfg.trials * len(cfg.models)
+        for line, report in zip(lines[2:], table.reports):
+            c_sel, c_tgt = (float(v) for v in line.split(",")[-2:])
+            assert (c_sel, c_tgt) == (report.c_sel, report.c_tgt)
+            assert c_sel in cfg.protocol.cv.grid_sel and c_tgt in cfg.protocol.cv.grid_tgt
         assert len(table.reports) == cfg.trials * len(cfg.models)
 
     def test_unwritable_output_rejected_before_compute(self, tmp_path):
@@ -157,8 +161,12 @@ class TestFitSingle:
         generate_dataset(cfg, csv_path)
         out_file = tmp_path / "fit.json"
         payload = fit_single(cfg, csv_path, ModelKind.SPM, out_file)
-        assert set(payload) >= {"mode", "model", "seed", "config", "params", "diagnostics", "training_metrics"}
+        assert set(payload) >= {
+            "mode", "model", "seed", "config", "params", "penalties", "diagnostics", "training_metrics"
+        }
         assert payload["model"] == "spm"
+        assert payload["penalties"]["c_sel"] in cfg.protocol.cv.grid_sel
+        assert payload["penalties"]["c_tgt"] in cfg.protocol.cv.grid_tgt
         assert "selection" in payload["params"] and "target" in payload["params"]
         assert "recovery" in payload  # sidecar present next to the CSV
         assert -1.0 <= payload["recovery"]["target_weight_cosine"] <= 1.0
@@ -292,6 +300,7 @@ class TestCliMain:
             (["--models", "naive,naive"], "naive,naive"),
             (["--models", "naive,real,naive"], "naive,real,naive"),
             (["--quantile-rule", "2"], "2.0"),
+            (["--cv.grid_sel", "0.1,0.1,0.0"], "grid_sel repeats the penalty value(s) [0.1]"),
         ],
     )
     def test_invalid_value_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, flags, named):
