@@ -1,12 +1,14 @@
 """Observed-data log-likelihood, regularized loss, and analytic gradients.
 
 Only the annotation flags l are observed, so the likelihood of one example
-is h(x) = s(x) t(x) when l = 1 and 1 - h(x) when l = 0.  Splitting the
-annotated term gives the total over the dataset
+is q(x) = s(x) t(x) when l = 1 and 1 - q(x) when l = 0.  With per-row
+constants (base, sign) = (0, 1) for an annotated row and (1, -1) otherwise,
+both cases are base + sign * q, and the total over the dataset is
 
-    LL = sum_i [ l_i log s(x_i) + l_i log t(x_i) + (1 - l_i) log(1 - s(x_i) t(x_i)) ]
+    LL = sum_i log(base_i + sign_i * s(x_i) t(x_i))
 
-summed (not averaged) over examples.  The training loss is -LL plus two
+summed (not averaged) over examples, each row's log argument clamped as a
+whole (see ``LOG_CLAMP``).  The training loss is -LL plus two
 independent weight penalties, one per factor, so the selection and target
 parts of the model can be regularized differently:
 
@@ -34,7 +36,7 @@ The sigmoid product is the psychometric model with guess = lapse = 0, so
 one engine evaluates both: with the rates free (the psychometric layout)
 or fixed (the sigmoid-product layout, at (0, 0) for that model).
 
-The logistic baselines are the one-factor case, h(x) = t(x):
+The logistic baselines are the one-factor case, q(x) = t(x):
 
     one factor:      [w (d), b]                                      (d + 1)
 
@@ -70,12 +72,13 @@ __all__ = [
     "make_loss_functions",
 ]
 
-# Log arguments are clamped to [LOG_CLAMP, 1 - LOG_CLAMP].  The psychometric
-# lapse keeps h away from 1, but a saturated sigmoid product can hit 0 or 1
-# exactly in float64; clamping prevents -inf without touching
-# well-conditioned fits (values already inside the interval pass through
-# bit-identically, and the gradient of a clamped term is zero, matching
-# what finite differences of the clamped value see).
+# Each row's log argument, base + sign * q, is clamped to [LOG_CLAMP,
+# 1 - LOG_CLAMP].  The psychometric lapse keeps q away from 1, but a
+# saturated sigmoid product can hit 0 or 1 exactly in float64; clamping
+# prevents -inf without touching well-conditioned fits (values already
+# inside the interval pass through bit-identically, and the gradient of a
+# clamped row is zero, matching what finite differences of the clamped
+# value see).
 LOG_CLAMP = 1e-12
 
 
@@ -184,33 +187,6 @@ def _penalty_grad(w: np.ndarray, c: float, norm: PenaltyNorm) -> np.ndarray:
     return c * np.sign(w)
 
 
-class _BlockWork:
-    """Work arrays for one block of rows, allocated once per engine.  Fresh
-    per-call temporaries of this size were handed back to the operating
-    system after every call on large data and faulted back in on the next
-    one, a fifth of a PsychM fit's time on 10 000 rows.
-
-    Per row and factor: a holds z, then an annotated block's log terms,
-    then dz; s the sigmoids; c the rate-mapped probabilities, then 1 - s;
-    d the derivative of the log-likelihood by each probability.  ``probs``
-    is s itself when the rate map is skipped.  ``arg`` is what the log is
-    taken of: the probabilities of an annotated row, 1 - their product for
-    an unannotated one; ``clipped`` holds it clamped, then the derivative
-    of its log.
-    """
-
-    def __init__(self, n: int, factors: int, annotated: bool, mapped: bool):
-        self.a, self.s, self.c, self.d = (np.empty((n, factors)) for _ in range(4))
-        self.u = np.empty(n)
-        self.probs = self.c if mapped else self.s
-        if annotated:
-            self.arg, self.clipped, self.logs = self.probs, self.d, self.a
-        else:
-            self.arg, self.clipped, self.logs = self.u, np.empty(n), np.empty(n)
-        self.inside = np.empty(self.arg.shape, dtype=bool)
-        self.above = np.empty(self.arg.shape, dtype=bool)
-
-
 class _Engine:
     """Loss value and gradient for one (dataset, penalties, layout).
 
@@ -219,12 +195,23 @@ class _Engine:
     free parameters (the psychometric layout) and a fixed (guess, lapse)
     pair otherwise (the layout without surrogate slots); the sigmoid product
     is the pair (0, 0).  One factor is a logistic regression of the label
-    column: its miss term is 1 - t(x) and its only penalty is the target's.
-    Rows are split once by that label into annotated and unannotated
-    blocks; the affine scores are computed by a single stacked matmul per
-    block.  `value` and `value_and_grad` share one forward pass, so they
-    agree bit for bit.  Per-row intermediates go into work arrays kept for
-    the engine's lifetime; every call returns a fresh gradient array.
+    column: its only penalty is the target's.
+
+    Every call is one pass over all rows, factor-major.  A row's
+    probability of a positive label is q = p_0 t, with p_0 the rate-mapped
+    selection (t alone with one factor), and the log is taken of
+    base + sign * q per row, with (base, sign) = (0, 1) for a positive row
+    and (1, -1) otherwise: exactly q or 1 - q.  The
+    rows of x are kept transposed with a row of ones appended, so one
+    matmul forms every factor's affine score, bias included, and one more
+    gives all weight and bias gradients.  `value` and `value_and_grad`
+    share one forward pass, so they agree bit for bit.
+
+    Per-row intermediates go into work arrays allocated once per engine:
+    fresh temporaries of this size were handed back to the operating system
+    after every call on large data and faulted back in on the next one, a
+    fifth of a PsychM fit's time on 10 000 rows.  Every call returns a
+    fresh gradient array.
     """
 
     def __init__(self, data: Dataset, reg: RegConfig, layout):
@@ -234,28 +221,37 @@ class _Engine:
         labels = getattr(data, label)
         if labels is None:
             raise ValueError("the oracle's likelihood needs ground-truth classes y")
-        self.d = data.dim
+        self.d = d = data.dim
         # (weight offset, penalty, norm) per factor; its bias follows its
         # weights.  Target weights start after the selection bias and, when
         # the rates are free, after their two surrogates.
         if n_factors == 1:
             self.factors = ((0, reg.c_tgt, reg.norm_tgt),)
         else:
-            tgt = self.d + 1 if self.rates is not None else self.d + 3
+            tgt = d + 1 if self.rates is not None else d + 3
             self.factors = ((0, reg.c_sel, reg.norm_sel), (tgt, reg.c_tgt, reg.norm_tgt))
-        self.n_free = self.factors[-1][0] + self.d + 1
-        # theta[self.gather] holds one factor per column: its weights in rows
-        # 0..d-1, its bias in row d.
+        self.n_free = self.factors[-1][0] + d + 1
+        # theta[self.gather] holds one factor per row: its weights, then its bias.
         offsets = np.array([offset for offset, _, _ in self.factors])
-        self.gather = offsets + np.arange(self.d + 1)[:, None]
+        self.gather = offsets[:, None] + np.arange(d + 1)
         # guess + span * s is the identity at (0, 0): skip it there.
         self.mapped = self.rates != (0.0, 0.0)
-        pos = labels == 1
-        self.blocks = [
-            (block, annotated, _BlockWork(block.shape[0], n_factors, annotated, self.mapped))
-            for block, annotated in ((data.x[pos], True), (data.x[~pos], False))
-            if block.shape[0]
-        ]
+        n = data.n
+        self.xt = np.ones((d + 1, n))
+        self.xt[:d] = data.x.T
+        annotated = labels == 1
+        self.sign = np.where(annotated, 1.0, -1.0)
+        self.base = np.where(annotated, 0.0, 1.0)
+        # Per factor and row: z the affine scores, then the derivative of
+        # the log-likelihood by them; s the sigmoids; c 1 - s.  p0 is the
+        # rate-mapped selection, or s[0] itself.  Per row: arg what the log
+        # is taken of; clipped it clamped, then the derivative of its log
+        # by q; dq the derivative by each factor's probability.
+        self.z, self.s, self.c = (np.empty((n_factors, n)) for _ in range(3))
+        self.p0 = np.empty(n) if self.mapped else self.s[0]
+        self.arg, self.clipped, self.logs = (np.empty(n) for _ in range(3))
+        self.dq = np.empty((n_factors, n)) if n_factors == 2 else self.clipped[None]
+        self.outside = np.empty(n, dtype=bool)
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -264,51 +260,38 @@ class _Engine:
         return theta
 
     def _forward(self, theta: np.ndarray) -> tuple[float, float]:
-        """Data log-likelihood and rate span at a checked theta; leaves each
-        block's intermediates in its work arrays."""
+        """Data log-likelihood and rate span at a checked theta; leaves the
+        per-row intermediates in the work arrays."""
         d = self.d
-        stacked = theta[self.gather]
-        weights, biases = stacked[:d], stacked[d]
         if self.rates is None:
             guess, lapse = constrain_rates(theta[d + 1], theta[d + 2])
         else:
             guess, lapse = self.rates
         span = 1.0 - guess - lapse
 
-        total = 0.0
-        for block, annotated, work in self.blocks:
-            # sigmoid(z) is upper = 1 / (1 + exp(-|z|)) for z >= 0 and
-            # 1 - upper below, so exp never overflows.  upper lies in
-            # [0.5, 1], where upper - 0.5 and both results are exact, so
-            # 0.5 + copysign(upper - 0.5, z) picks the branch bit for bit
-            # without a data-dependent (mispredicted) select.
-            z = work.a
-            np.matmul(block, weights, out=z)
-            z += biases
-            raw = work.s
-            np.abs(z, out=raw)
-            np.negative(raw, out=raw)
-            np.exp(raw, out=raw)
-            np.add(1.0, raw, out=raw)
-            np.divide(1.0, raw, out=raw)
-            np.subtract(raw, 0.5, out=raw)
-            np.copysign(raw, z, out=raw)
-            np.add(raw, 0.5, out=raw)
-            probs = work.probs
-            if self.mapped:
-                probs[:, 1] = raw[:, 1]
-                np.multiply(span, raw[:, 0], out=probs[:, 0])
-                np.add(guess, probs[:, 0], out=probs[:, 0])
-            if not annotated:
-                # 1 - s t, or 1 - t with one factor.  (np.multiply.reduce
-                # over the factor axis is an order of magnitude slower.)
-                miss = probs[:, 0]
-                if len(self.factors) == 2:
-                    miss = np.multiply(miss, probs[:, 1], out=work.arg)
-                np.subtract(1.0, miss, out=work.arg)
-            np.clip(work.arg, LOG_CLAMP, 1.0 - LOG_CLAMP, out=work.clipped)
-            total += float(np.sum(np.log(work.clipped, out=work.logs)))
-        return total, span
+        # sigmoid(z) is upper = 1 / (1 + exp(-|z|)) for z >= 0 and 1 - upper
+        # below, so exp never overflows.  upper lies in [0.5, 1], where
+        # upper - 0.5 and both results are exact, so 0.5 + copysign(upper -
+        # 0.5, z) picks the branch bit for bit without a data-dependent
+        # (mispredicted) select.
+        z, s = self.z, self.s
+        np.matmul(theta[self.gather], self.xt, out=z)
+        np.abs(z, out=s)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.add(1.0, s, out=s)
+        np.divide(1.0, s, out=s)
+        np.subtract(s, 0.5, out=s)
+        np.copysign(s, z, out=s)
+        np.add(s, 0.5, out=s)
+        if self.mapped:
+            np.multiply(span, s[0], out=self.p0)
+            np.add(guess, self.p0, out=self.p0)
+        q = s[0] if len(self.factors) == 1 else np.multiply(self.p0, s[1], out=self.arg)
+        arg = np.multiply(self.sign, q, out=self.arg)
+        np.add(self.base, arg, out=arg)
+        np.clip(arg, LOG_CLAMP, 1.0 - LOG_CLAMP, out=self.clipped)
+        return float(np.sum(np.log(self.clipped, out=self.logs))), span
 
     def _penalized(self, theta: np.ndarray, total: float) -> float:
         value = -total
@@ -323,54 +306,37 @@ class _Engine:
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = self._check(theta)
         total, span = self._forward(theta)
-        free_rates = self.rates is None
 
-        grad_w = np.zeros((self.d, len(self.factors)))
-        grad_b = np.zeros(len(self.factors))
-        d_guess = 0.0
-        d_lapse = 0.0
-        for block, annotated, work in self.blocks:
-            # d log(clip(arg)) / d arg is 1 / clip(arg) strictly inside the
-            # clamp interval and 0 elsewhere.
-            inside = np.greater(work.arg, LOG_CLAMP, out=work.inside)
-            np.less(work.arg, 1.0 - LOG_CLAMP, out=work.above)
-            np.logical_and(inside, work.above, out=inside)
-            rest = np.divide(1.0, work.clipped, out=work.clipped)
-            np.copyto(rest, 0.0, where=np.logical_not(inside, out=inside))
-            probs, dprob, raw = work.probs, work.d, work.s
-            if not annotated:
-                # d(1 - product) / d(one factor) is minus the other factor,
-                # and -1 when there is no other.
-                np.negative(rest, out=rest)
-                if len(self.factors) == 1:
-                    dprob[:, 0] = rest
-                else:
-                    np.multiply(rest, probs[:, 1], out=dprob[:, 0])
-                    np.multiply(rest, probs[:, 0], out=dprob[:, 1])
-            dz, one_minus_raw = work.a, work.c
-            np.multiply(dprob, raw, out=dz)
-            np.subtract(1.0, raw, out=one_minus_raw)
-            np.multiply(dz, one_minus_raw, out=dz)
-            if self.mapped:
-                dz[:, 0] *= span
-            if free_rates:
-                d_guess += float(np.sum(np.multiply(dprob[:, 0], one_minus_raw[:, 0], out=work.u)))
-                np.negative(raw[:, 0], out=work.u)
-                d_lapse += float(np.sum(np.multiply(dprob[:, 0], work.u, out=work.u)))
-            grad_w += block.T @ dz
-            grad_b += dz.sum(axis=0)
+        # d log(clip(arg)) / dq is sign / arg where the clamp leaves arg as
+        # it is, and 0 where it moved arg.
+        s, c, dz, dq = self.s, self.c, self.z, self.dq
+        np.not_equal(self.arg, self.clipped, out=self.outside)
+        r = np.divide(self.sign, self.clipped, out=self.clipped)
+        np.copyto(r, 0.0, where=self.outside)
+        if len(self.factors) == 2:
+            # dq / dp_0 = t and dq / dt = p_0.
+            np.multiply(r, s[1], out=dq[0])
+            np.multiply(r, self.p0, out=dq[1])
+        np.multiply(dq, s, out=dz)
+        np.subtract(1.0, s, out=c)
+        np.multiply(dz, c, out=dz)
+        if self.mapped:
+            dz[0] *= span
 
         d = self.d
         grad = np.empty(self.n_free)
-        for j, (offset, c, norm) in enumerate(self.factors):
-            grad[offset : offset + d] = -grad_w[:, j] + _penalty_grad(theta[offset : offset + d], c, norm)
-            grad[offset + d] = -grad_b[j]
-        if free_rates:
-            # Chain the rate gradients through the surrogate map: with
-            # D = 1 + |g'| + |l'| the Jacobian entries are
+        grad[self.gather] = -(dz @ self.xt.T)
+        for offset, penalty, norm in self.factors:
+            grad[offset : offset + d] += _penalty_grad(theta[offset : offset + d], penalty, norm)
+        if self.rates is None:
+            # dp_0 / dguess = 1 - s_0 and dp_0 / dlapse = -s_0, chained
+            # through the surrogate map: with D = 1 + |g'| + |l'| the
+            # Jacobian entries are
             #   d guess / d g' = sign(g') (1 + |l'|) / D^2
             #   d lapse / d g' = -sign(g') |l'| / D^2
             # and symmetrically for l'; sign(0) = 0.
+            d_guess = float(dq[0] @ c[0])
+            d_lapse = -float(dq[0] @ s[0])
             g_raw, l_raw = theta[d + 1], theta[d + 2]
             denom = (1.0 + abs(g_raw) + abs(l_raw)) ** 2
             d_g_raw = np.sign(g_raw) * ((1.0 + abs(l_raw)) * d_guess - abs(l_raw) * d_lapse) / denom

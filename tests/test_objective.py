@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from puselect.data import Dataset
 from puselect.models import LinearParams, ModelKind, PsychmParams, SpmParams, sigmoid
+from puselect import objective
 from puselect.objective import (
+    LOG_CLAMP,
     RegConfig,
     PenaltyNorm,
     conditional_log_likelihood,
@@ -227,21 +229,30 @@ class TestLoss:
                 + reg.c_tgt * float(np.sum(np.abs(theta[3:5]))) == 0.0
             )
 
-    def test_clamping_transparent_for_moderate_posteriors(self):
-        # when every probability is comfortably inside [1e-6, 1-1e-6] the
-        # clamped likelihood is bit-identical to the raw formula
-        rng = np.random.default_rng(6)
-        data = _random_dataset(rng, n=40, d=2)
-        theta = 0.5 * _random_theta(rng, ModelKind.SPM, 2)
-        params = unpack_spm(theta, 2)
-        s = sigmoid(data.x @ params.selection.w + params.selection.b)
-        t = sigmoid(data.x @ params.target.w + params.target.b)
-        assert s.min() > 1e-6 and t.min() > 1e-6 and (s * t).max() < 1 - 1e-6
-        pos, neg = data.l == 1, data.l == 0
-        raw = float(np.sum(np.log(np.column_stack((s[pos], t[pos]))))) + float(
-            np.sum(np.log(1.0 - s[neg] * t[neg]))
-        )
-        assert conditional_log_likelihood(data, params) == raw
+    def test_clamping_transparent_for_moderate_posteriors(self, monkeypatch):
+        # When every row's probability is comfortably inside [1e-6, 1-1e-6]
+        # the clamped likelihood and its gradient are bit-identical to the
+        # unclamped ones: the same engine with the clamp interval widened to
+        # [0, 1], where clipping a probability is a no-op.
+        reg = RegConfig(c_sel=0.2, c_tgt=0.1)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            data = _random_dataset(rng, n=40, d=2)
+            theta = 0.5 * _random_theta(rng, ModelKind.SPM, 2)
+            params = unpack_spm(theta, 2)
+            s = sigmoid(data.x @ params.selection.w + params.selection.b)
+            t = sigmoid(data.x @ params.target.w + params.target.b)
+            q = s * t
+            assert q.min() > 1e-6 and q.max() < 1 - 1e-6
+            clamped = loss(data, ModelKind.SPM, theta, reg), loss_gradient(data, ModelKind.SPM, theta, reg)
+            with monkeypatch.context() as m:
+                m.setattr(objective, "LOG_CLAMP", 0.0)
+                raw = loss(data, ModelKind.SPM, theta, reg), loss_gradient(data, ModelKind.SPM, theta, reg)
+            assert clamped[0] == raw[0]
+            np.testing.assert_array_equal(clamped[1], raw[1])
+            pos = data.l == 1
+            by_hand = float(np.sum(np.log(q[pos]))) + float(np.sum(np.log(1.0 - q[~pos])))
+            np.testing.assert_allclose(conditional_log_likelihood(data, params), by_hand, rtol=1e-12)
 
 
 class FiniteDifferenceMixin:
@@ -323,6 +334,81 @@ class TestLossGradient(FiniteDifferenceMixin):
         assert grad[3] == 0.0 and grad[4] == 0.0
 
 
+def _one_row(kind, annotated, score):
+    """One row of data and a theta that gives each factor of ``kind`` the
+    same affine score, ``score`` in total over the factors."""
+    factors = 2 if kind == ModelKind.SPM else 1
+    data = Dataset(x=np.array([[0.5, -0.3]]), l=np.array([annotated]))
+    theta = np.zeros(free_param_length(kind, 2))
+    theta[2::3] = score / factors  # the biases; the weights are zero
+    return data, theta
+
+
+class TestRowClamp(FiniteDifferenceMixin):
+    """A row's probability of what was observed, q = s t for an annotated
+    row and 1 - s t otherwise (t alone with one factor), is clamped as a
+    whole."""
+
+    @pytest.mark.parametrize("annotated, score", [(1, -30.0), (0, 60.0)])
+    @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.NAIVE])
+    def test_clamped_row_contributes_the_clamp_and_no_gradient(self, kind, annotated, score):
+        # q is below 1e-13: the row adds exactly log(LOG_CLAMP), and
+        # nothing to the gradient.
+        data, theta = _one_row(kind, annotated, score)
+        value, value_and_grad = make_loss_functions(data, kind, RegConfig())
+        f, grad = value_and_grad(theta)
+        assert f == value(theta) == -np.log(LOG_CLAMP)
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_matches_central_differences_just_inside(self):
+        # q = s t is about 1.4e-11, inside the clamp by a factor of 14, with
+        # s = t = 3.7e-6.  (One factor cannot be checked this way: the
+        # sigmoid resolves t = 1.4e-11 only to about 1e-16, which is noise
+        # of 1e-5 relative in log t.)
+        data, theta = _one_row(ModelKind.SPM, 1, -25.0)
+        reg = RegConfig(c_sel=0.3, c_tgt=0.2)
+        assert loss(data, ModelKind.SPM, theta, reg) < -np.log(LOG_CLAMP)
+        self.check_gradient(data, ModelKind.SPM, theta, reg)
+
+
+def _plain_log_likelihood(data, kind, theta):
+    """The observed-data log-likelihood written out per row, unclamped."""
+    d = data.dim
+    if kind in (ModelKind.SPM, ModelKind.PSYCHM):
+        unpack = unpack_spm if kind == ModelKind.SPM else unpack_psychm
+        params = unpack(theta, d)
+        guess, lapse = (params.guess, params.lapse) if kind == ModelKind.PSYCHM else (0.0, 0.0)
+        sel, tgt = params.selection, params.target
+        s = guess + (1.0 - guess - lapse) / (1.0 + np.exp(-(data.x @ sel.w + sel.b)))
+        q = s / (1.0 + np.exp(-(data.x @ tgt.w + tgt.b)))
+        labels = data.l
+    else:
+        q = 1.0 / (1.0 + np.exp(-(data.x @ theta[:d] + theta[d])))
+        labels = data.y if kind == ModelKind.REAL_ORACLE else data.l
+    return float(np.sum(np.where(labels == 1, np.log(q), np.log1p(-q))))
+
+
+class TestPlainFormula:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 5),
+        flags=st.sampled_from(["mixed", "all", "none"]),
+        kind=st.sampled_from(ENGINE_KINDS),
+    )
+    def test_value_matches_per_row_formula(self, seed, n, d, flags, kind):
+        # Every layout's one pass over all rows, against the likelihood
+        # summed row by row, with all rows annotated, none, or some.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=n) if flags == "mixed" else np.full(n, int(flags == "all"))
+        data = _for_kind(Dataset(x=rng.normal(size=(n, d)), l=labels), kind)
+        theta = _random_theta(rng, kind, d)
+        np.testing.assert_allclose(
+            -loss(data, kind, theta, RegConfig()), _plain_log_likelihood(data, kind, theta), rtol=1e-12
+        )
+
+
 class TestLogisticGradient(FiniteDifferenceMixin):
     """The one-factor layout that the naive, Elkan and oracle baselines fit."""
 
@@ -354,8 +440,9 @@ class TestFastClosures:
     @pytest.mark.parametrize("flags", ["mixed", "all", "none"])
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_fused_matches_reference(self, kind, flags):
-        # The value-only pass and the gradient pass must agree bit for bit.
-        # All-annotated and none-annotated data give the engine one row block.
+        # The value-only pass and the gradient pass must agree bit for bit,
+        # also when every row has the same (base, sign) pair: all annotated
+        # or none.
         rng = np.random.default_rng(11)
         data = _random_dataset(rng, n=30, d=3)
         if flags != "mixed":

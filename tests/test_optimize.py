@@ -213,10 +213,13 @@ def test_accepted_steps_meet_strong_wolfe_conditions():
 def test_poorly_scaled_direction_reaches_the_line_minimum():
     # On this fit the line minimum of some searches lies near step 1e-4.
     # Clipping the cubic trial to the bracket's inner 80% shrinks the step
-    # tenfold per probe and reaches it; bisecting stalls at loss 436.
+    # tenfold per probe and reaches it: loss 295.63 after the full 150
+    # iterations.  Bisecting the bracket instead stalls after 76 at 296.61.
+    # (The fit sits on the kink of |lapse'|, so the loss at an earlier cap
+    # is set by round-off and tells the two searches apart no better.)
     data = generate(GeneratorConfig(n=1667, seed=302))
     model = fit_psychm(
         data, RegConfig(1.0, 0.1),
-        TrainingProtocol(optimizer=OptimizerConfig(max_iters=66), n_starts=1), seed=2,
+        TrainingProtocol(optimizer=OptimizerConfig(max_iters=150), n_starts=1), seed=2,
     )
-    assert model.diagnostics.loss <= 297.5
+    assert model.diagnostics.loss <= 296.0
