@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puselect import objective
 from puselect.data import Dataset
 from puselect.models import LinearParams, ModelKind, PsychmParams, SpmParams, sigmoid
-from puselect import objective
 from puselect.objective import (
     LOG_CLAMP,
     RegConfig,
@@ -345,15 +345,14 @@ def _one_row(kind, annotated, score):
 
 
 class TestRowClamp(FiniteDifferenceMixin):
-    """A row's probability of what was observed, q = s t for an annotated
-    row and 1 - s t otherwise (t alone with one factor), is clamped as a
-    whole."""
+    """A row's log argument, s t for a positive row and 1 - s t otherwise
+    (t alone with one factor), is clamped as a whole."""
 
     @pytest.mark.parametrize("annotated, score", [(1, -30.0), (0, 60.0)])
     @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.NAIVE])
     def test_clamped_row_contributes_the_clamp_and_no_gradient(self, kind, annotated, score):
-        # q is below 1e-13: the row adds exactly log(LOG_CLAMP), and
-        # nothing to the gradient.
+        # The log argument is below 1e-12: the row adds exactly
+        # log(LOG_CLAMP), and nothing to the gradient.
         data, theta = _one_row(kind, annotated, score)
         value, value_and_grad = make_loss_functions(data, kind, RegConfig())
         f, grad = value_and_grad(theta)
@@ -361,7 +360,7 @@ class TestRowClamp(FiniteDifferenceMixin):
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_matches_central_differences_just_inside(self):
-        # q = s t is about 1.4e-11, inside the clamp by a factor of 14, with
+        # s t is about 1.4e-11, inside the clamp by a factor of 14, with
         # s = t = 3.7e-6.  (One factor cannot be checked this way: the
         # sigmoid resolves t = 1.4e-11 only to about 1e-16, which is noise
         # of 1e-5 relative in log t.)
