@@ -45,7 +45,6 @@ from .models import (
     spm_posterior,
 )
 from .objective import (
-    PenaltyNorm,
     RegConfig,
     conditional_log_likelihood,
     constrain_rates,

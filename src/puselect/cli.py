@@ -19,7 +19,6 @@ import sys
 
 from .estimators import CvConfig, TrainingProtocol
 from .models import ModelKind
-from .objective import PenaltyNorm
 from .optimize import OptimizerConfig
 from .runner import (
     ExperimentConfig,
@@ -31,14 +30,6 @@ from .runner import (
 from .synth import GeneratorConfig, XDist
 
 __all__ = ["main", "build_config", "parse_config_file", "CONFIG_KEYS"]
-
-
-def _parse_bool(v: str) -> bool:
-    if v.lower() in ("1", "true", "yes"):
-        return True
-    if v.lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {v!r}")
 
 
 def _parse_floats(v: str) -> tuple[float, ...]:
@@ -79,12 +70,9 @@ CONFIG_KEYS: dict = {
     "cv.folds": (int, _CV.folds),
     "cv.grid_sel": (_parse_floats, _CV.grid_sel),
     "cv.grid_tgt": (_parse_floats, _CV.grid_tgt),
-    "cv.max_iters": (int, _PROTOCOL.cv_max_iters),  # 0: same budget as the final fit
+    "cv.max_iters": (int, _PROTOCOL.cv_max_iters),
     "optimizer.max_iters": (int, _PROTOCOL.optimizer.max_iters),
     "optimizer.grad_tol": (float, _PROTOCOL.optimizer.grad_tol),
-    "optimizer.history_size": (int, _PROTOCOL.optimizer.history_size),
-    "reg.norm_sel": (PenaltyNorm, _PROTOCOL.norm_sel),
-    "reg.norm_tgt": (PenaltyNorm, _PROTOCOL.norm_tgt),
     "elkan.holdout_frac": (float, _PROTOCOL.elkan_holdout),
     "psychm.init_guess": (float, _PROTOCOL.psychm_init[0]),
     "psychm.init_lapse": (float, _PROTOCOL.psychm_init[1]),
@@ -148,16 +136,12 @@ def build_config(raw: dict) -> ExperimentConfig:
     protocol = TrainingProtocol(
         cv=CvConfig(folds=r["cv.folds"], grid_sel=r["cv.grid_sel"], grid_tgt=r["cv.grid_tgt"]),
         optimizer=OptimizerConfig(
-            max_iters=r["optimizer.max_iters"],
-            grad_tol=r["optimizer.grad_tol"],
-            history_size=r["optimizer.history_size"],
+            max_iters=r["optimizer.max_iters"], grad_tol=r["optimizer.grad_tol"]
         ),
-        cv_max_iters=r["cv.max_iters"] or None,
+        cv_max_iters=r["cv.max_iters"],
         elkan_holdout=r["elkan.holdout_frac"],
         psychm_init=(r["psychm.init_guess"], r["psychm.init_lapse"]),
         n_starts=r["fit.n_starts"],
-        norm_sel=r["reg.norm_sel"],
-        norm_tgt=r["reg.norm_tgt"],
     )
     return ExperimentConfig(
         generator=generator,

@@ -17,14 +17,7 @@ import numpy as np
 from .data import Dataset, _derive_seed, _rng, split
 from .metrics import brier
 from .models import LinearParams, ModelKind, SpmParams, affine_sigmoid, psychometric
-from .objective import (
-    PenaltyNorm,
-    RegConfig,
-    make_loss_functions,
-    unconstrain_rates,
-    unpack_psychm,
-    unpack_spm,
-)
+from .objective import RegConfig, make_loss_functions, unconstrain_rates, unpack_psychm, unpack_spm
 from .optimize import NonFiniteError, OptimResult, OptimizerConfig, minimize
 
 __all__ = [
@@ -62,9 +55,9 @@ class CvConfig:
             raise ValueError("folds must be >= 2")
         if not self.grid_sel or not self.grid_tgt:
             raise ValueError("penalty grids must be nonempty")
-        if min(self.grid_sel) < 0 or min(self.grid_tgt) < 0:
-            raise ValueError("penalty coefficients must be nonnegative")
         for name, grid in (("grid_sel", self.grid_sel), ("grid_tgt", self.grid_tgt)):
+            if not all(0.0 <= c < np.inf for c in grid):
+                raise ValueError(f"{name} {grid}: penalty coefficients must be finite and >= 0")
             repeated = sorted({c for c in grid if grid.count(c) > 1})
             if repeated:
                 raise ValueError(f"{name} repeats the penalty value(s) {repeated}")
@@ -125,19 +118,15 @@ class TrainingProtocol:
     """
 
     cv: CvConfig = field(default_factory=CvConfig)
-    # The final-fit budget of every model, calibrated to the benchmark scale,
-    # where the loss plateaus long before the optimizer's 2000-iteration cap.
-    optimizer: OptimizerConfig = OptimizerConfig(max_iters=150)
-    cv_max_iters: int | None = 66  # shortened budget for CV fits; None: the full budget
+    optimizer: OptimizerConfig = OptimizerConfig()
+    cv_max_iters: int = 66  # iteration cap of CV fold fits
     elkan_holdout: float = 0.2
     psychm_init: tuple[float, float] = (0.7, 0.02)
     n_starts: int = 3
-    norm_sel: PenaltyNorm = PenaltyNorm.L2SQ
-    norm_tgt: PenaltyNorm = PenaltyNorm.L2SQ
 
     def __post_init__(self):
-        if self.cv_max_iters is not None and self.cv_max_iters < 1:
-            raise ValueError(f"cv_max_iters must be None or >= 1, got {self.cv_max_iters}")
+        if self.cv_max_iters < 1:
+            raise ValueError(f"cv_max_iters must be >= 1, got {self.cv_max_iters}")
         if not 0.0 < self.elkan_holdout < 1.0:
             raise ValueError(f"elkan_holdout must be in (0, 1), got {self.elkan_holdout}")
         guess, lapse = self.psychm_init
@@ -148,9 +137,7 @@ class TrainingProtocol:
 
     def cv_optimizer_for(self) -> OptimizerConfig:
         """Optimizer for fold fits: the final fit's, capped at ``cv_max_iters``
-        iterations when that is set."""
-        if self.cv_max_iters is None:
-            return self.optimizer
+        iterations; a cap at or above the final fit's budget leaves it as it is."""
         return replace(self.optimizer, max_iters=min(self.cv_max_iters, self.optimizer.max_iters))
 
 
@@ -377,9 +364,7 @@ def select_hyperparams(
     warm = [None] * cv.folds  # per fold: the free parameters of its last successful fit
     best = None
     for key, c_sel, c_tgt in _cv_path(cv, has_selection):
-        reg = RegConfig(
-            c_sel=c_sel, c_tgt=c_tgt, norm_sel=protocol.norm_sel, norm_tgt=protocol.norm_tgt
-        )
+        reg = RegConfig(c_sel=c_sel, c_tgt=c_tgt)
         scores = []
         try:
             for f, (train, val) in enumerate(fold_data):

@@ -9,13 +9,12 @@ both cases are base + sign * q, and the total over the dataset is
 
 summed (not averaged) over examples, each row's log argument clamped as a
 whole (see ``LOG_CLAMP``).  The training loss is -LL plus two
-independent weight penalties, one per factor, so the selection and target
-parts of the model can be regularized differently:
+independent squared-L2 weight penalties, one per factor, so the selection
+and target parts of the model can be regularized differently:
 
-    loss = -LL + c_sel * |sel.w| + c_tgt * |tgt.w|
+    loss = -LL + c_sel * |sel.w|^2 + c_tgt * |tgt.w|^2
 
-under a squared-L2 or L1 norm each.  Biases and the guess/lapse rates are
-never penalized.
+Biases and the guess/lapse rates are never penalized.
 
 Free parameter vectors are laid out as
 
@@ -29,8 +28,7 @@ where guess' and lapse' are unconstrained surrogates: the map
 
 keeps guess, lapse >= 0 and guess + lapse < 1 for every finite input, so
 the loss is defined on all of R^(2d+4) and plain unconstrained minimizers
-apply.  The subgradient of |.| at 0 is taken to be 0, as is the L1 penalty
-subgradient.
+apply.  The subgradient of |.| at 0 is taken to be 0.
 
 The sigmoid product is the psychometric model with guess = lapse = 0, so
 one engine evaluates both: with the rates free (the psychometric layout)
@@ -40,15 +38,14 @@ The logistic baselines are the one-factor case, q(x) = t(x):
 
     one factor:      [w (d), b]                                      (d + 1)
 
-with t's weights penalized by c_tgt under norm_tgt and no selection or
-rate slots.  The naive baseline and Elkan's annotation model fit the
-flags l; the oracle fits the ground-truth classes y in their place.
+with t's weights penalized by c_tgt and no selection or rate slots.  The
+naive baseline and Elkan's annotation model fit the flags l; the oracle
+fits the ground-truth classes y in their place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -57,7 +54,6 @@ from .models import LinearParams, ModelKind, PsychmParams, SpmParams
 
 __all__ = [
     "LOG_CLAMP",
-    "PenaltyNorm",
     "RegConfig",
     "constrain_rates",
     "unconstrain_rates",
@@ -82,23 +78,17 @@ __all__ = [
 LOG_CLAMP = 1e-12
 
 
-class PenaltyNorm(Enum):
-    L1 = "l1"
-    L2SQ = "l2sq"
-
-
 @dataclass(frozen=True)
 class RegConfig:
     """Per-factor weight penalties: c_sel on selection weights, c_tgt on target weights."""
 
     c_sel: float = 0.0
     c_tgt: float = 0.0
-    norm_sel: PenaltyNorm = PenaltyNorm.L2SQ
-    norm_tgt: PenaltyNorm = PenaltyNorm.L2SQ
 
     def __post_init__(self):
-        if self.c_sel < 0 or self.c_tgt < 0:
-            raise ValueError("penalty coefficients must be nonnegative")
+        for c in (self.c_sel, self.c_tgt):
+            if not 0.0 <= c < np.inf:
+                raise ValueError(f"penalty coefficients must be finite and >= 0, got {c}")
 
 
 def constrain_rates(guess_raw: float, lapse_raw: float) -> tuple[float, float]:
@@ -171,22 +161,6 @@ def unpack_psychm(theta: np.ndarray, dim: int) -> PsychmParams:
     )
 
 
-def _penalty(w: np.ndarray, c: float, norm: PenaltyNorm) -> float:
-    if c == 0.0:
-        return 0.0
-    if norm == PenaltyNorm.L2SQ:
-        return c * float(w @ w)
-    return c * float(np.sum(np.abs(w)))
-
-
-def _penalty_grad(w: np.ndarray, c: float, norm: PenaltyNorm) -> np.ndarray:
-    if c == 0.0:
-        return np.zeros_like(w)
-    if norm == PenaltyNorm.L2SQ:
-        return 2.0 * c * w
-    return c * np.sign(w)
-
-
 class _Engine:
     """Loss value and gradient for one (dataset, penalties, layout).
 
@@ -222,17 +196,17 @@ class _Engine:
         if labels is None:
             raise ValueError("the oracle's likelihood needs ground-truth classes y")
         self.d = d = data.dim
-        # (weight offset, penalty, norm) per factor; its bias follows its
-        # weights.  Target weights start after the selection bias and, when
-        # the rates are free, after their two surrogates.
+        # (weight offset, penalty) per factor; its bias follows its weights.
+        # Target weights start after the selection bias and, when the rates
+        # are free, after their two surrogates.
         if n_factors == 1:
-            self.factors = ((0, reg.c_tgt, reg.norm_tgt),)
+            self.factors = ((0, reg.c_tgt),)
         else:
             tgt = d + 1 if self.rates is not None else d + 3
-            self.factors = ((0, reg.c_sel, reg.norm_sel), (tgt, reg.c_tgt, reg.norm_tgt))
+            self.factors = ((0, reg.c_sel), (tgt, reg.c_tgt))
         self.n_free = self.factors[-1][0] + d + 1
         # theta[self.gather] holds one factor per row: its weights, then its bias.
-        offsets = np.array([offset for offset, _, _ in self.factors])
+        offsets = np.array([offset for offset, _ in self.factors])
         self.gather = offsets[:, None] + np.arange(d + 1)
         # guess + span * s is the identity at (0, 0): skip it there.
         self.mapped = self.rates != (0.0, 0.0)
@@ -295,8 +269,10 @@ class _Engine:
 
     def _penalized(self, theta: np.ndarray, total: float) -> float:
         value = -total
-        for offset, c, norm in self.factors:
-            value += _penalty(theta[offset : offset + self.d], c, norm)
+        for offset, c in self.factors:
+            if c:
+                w = theta[offset : offset + self.d]
+                value += c * float(w @ w)
         return value
 
     def value(self, theta: np.ndarray) -> float:
@@ -326,8 +302,9 @@ class _Engine:
         d = self.d
         grad = np.empty(self.n_free)
         grad[self.gather] = -(dz @ self.xt.T)
-        for offset, penalty, norm in self.factors:
-            grad[offset : offset + d] += _penalty_grad(theta[offset : offset + d], penalty, norm)
+        for offset, penalty in self.factors:
+            if penalty:
+                grad[offset : offset + d] += 2.0 * penalty * theta[offset : offset + d]
         if self.rates is None:
             # dp_0 / dguess = 1 - s_0 and dp_0 / dlapse = -s_0, chained
             # through the surrogate map: with D = 1 + |g'| + |l'| the

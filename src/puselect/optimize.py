@@ -21,6 +21,8 @@ import numpy as np
 
 __all__ = ["OptimizerConfig", "OptimResult", "NonFiniteError", "minimize"]
 
+_HISTORY = 10  # curvature pairs that L-BFGS keeps
+
 
 class Method(Enum):
     LBFGS = "lbfgs"
@@ -33,15 +35,15 @@ class OptimizerConfig:
     # that also drops the tracer's metrics for the deleted first-order method
     # and ``minimize``'s unused ``value`` argument.
     method: ClassVar[Method] = Method.LBFGS
-    max_iters: int = 2000
+    # Every model's final-fit budget, calibrated to the benchmark scale.
+    max_iters: int = 150
     grad_tol: float = 1e-6
-    history_size: int = 10
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iters < 1:
-            raise ValueError("grad_tol must be positive and max_iters >= 1")
-        if self.history_size < 1:
-            raise ValueError("history_size must be >= 1")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.history_size:
+            if len(s_hist) > _HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -328,11 +330,16 @@ class TestTrainingProtocol:
         monkeypatch.setattr(est, "_fit_kind", recording)
         train_model(data, ModelKind.SPM, protocol, seed=44)
         assert seen == [(66, 1), (66, 1), (150, 3)]
+        # A cap at or above the final fit's budget gives the fold fits that budget.
+        for cap in (150, 500):
+            seen.clear()
+            train_model(data, ModelKind.SPM, replace(protocol, cv_max_iters=cap), seed=44)
+            assert seen == [(150, 1), (150, 1), (150, 3)]
 
 
 def full_budget(cv):
-    """A protocol whose fold fits run at the final fit's iteration budget."""
-    return TrainingProtocol(cv=cv, cv_max_iters=None)
+    """A protocol whose fold fits run at the final fit's iteration budget, 150."""
+    return TrainingProtocol(cv=cv, cv_max_iters=150)
 
 
 class TestSelectHyperparams:

@@ -9,7 +9,6 @@ from puselect.models import LinearParams, ModelKind, PsychmParams, SpmParams, si
 from puselect.objective import (
     LOG_CLAMP,
     RegConfig,
-    PenaltyNorm,
     conditional_log_likelihood,
     constrain_rates,
     free_param_length,
@@ -207,12 +206,11 @@ class TestLoss:
         penalty = loss(data, ModelKind.SPM, theta, reg) - loss(data, ModelKind.SPM, theta, RegConfig())
         assert penalty == 27.0
 
-    def test_l1_penalty(self):
-        data = Dataset(x=np.zeros((1, 2)), l=np.array([1]))
-        theta = np.array([-3.0, 4.0, 0.0, 1.0, 0.0, 0.0])
-        reg = RegConfig(c_sel=2.0, c_tgt=0.0, norm_sel=PenaltyNorm.L1)
-        penalty = loss(data, ModelKind.SPM, theta, reg) - loss(data, ModelKind.SPM, theta, RegConfig())
-        assert penalty == 14.0
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_penalty_rejected(self, c):
+        for reg in (dict(c_sel=c), dict(c_tgt=c)):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                RegConfig(**reg)
 
     def test_loss_dominates_negated_likelihood(self):
         rng = np.random.default_rng(12)
@@ -283,12 +281,7 @@ class TestLossGradient(FiniteDifferenceMixin):
             d = int(rng.integers(2, 6))
             data = _for_kind(_random_dataset(rng, n=10, d=d), kind)
             theta = _random_theta(rng, kind, d)
-            reg = RegConfig(
-                c_sel=float(rng.uniform(0, 2)),
-                c_tgt=float(rng.uniform(0, 2)),
-                norm_sel=PenaltyNorm.L1 if rng.random() < 0.5 else PenaltyNorm.L2SQ,
-                norm_tgt=PenaltyNorm.L1 if rng.random() < 0.5 else PenaltyNorm.L2SQ,
-            )
+            reg = RegConfig(c_sel=float(rng.uniform(0, 2)), c_tgt=float(rng.uniform(0, 2)))
             self.check_gradient(data, kind, theta, reg)
 
     def test_stationary_point_has_small_gradient(self):
@@ -417,22 +410,18 @@ class TestLogisticGradient(FiniteDifferenceMixin):
         n=st.integers(1, 40),
         d=st.integers(1, 5),
         c_w=st.floats(0.0, 2.0),
-        norm=st.sampled_from(list(PenaltyNorm)),
     )
-    def test_matches_central_differences(self, seed, n, d, c_w, norm):
+    def test_matches_central_differences(self, seed, n, d, c_w):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d))
         targets = rng.integers(0, 2, size=n)
-        # Weights stay clear of the L1 kink at 0, where central differences
-        # and the zero subgradient disagree; the bias is never penalized.
-        weights = rng.uniform(0.1, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
-        theta = np.append(weights, rng.normal())
+        theta = rng.normal(size=d + 1)
         value, value_and_grad = make_loss_functions(
-            Dataset(x=x, l=targets), ModelKind.NAIVE, RegConfig(c_tgt=c_w, norm_tgt=norm)
+            Dataset(x=x, l=targets), ModelKind.NAIVE, RegConfig(c_tgt=c_w)
         )
         f, grad = value_and_grad(theta)
         assert f == value(theta)
-        self.check_against_differences(value, grad, theta, (n, d, c_w, norm))
+        self.check_against_differences(value, grad, theta, (n, d, c_w))
 
 
 class TestFastClosures:

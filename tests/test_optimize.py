@@ -93,7 +93,7 @@ def test_quadratic_converges_within_budget(dim):
         spectrum = rng.uniform(1.0, 100.0, size=dim)
         matrix = basis @ np.diag(spectrum) @ basis.T
         value, grad = _quadratic(matrix)
-        cfg = OptimizerConfig(grad_tol=1e-8, max_iters=200, history_size=max(10, dim))
+        cfg = OptimizerConfig(grad_tol=1e-8, max_iters=200)
         result = minimize(value, grad, 5.0 * rng.normal(size=dim), cfg)
         assert result.converged
         # The smallest eigenvalue is at least 1, so |x| <= |g|.
@@ -155,12 +155,11 @@ def test_non_finite_init_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="grad_tol"):
+            OptimizerConfig(grad_tol=bad)
+    with pytest.raises(ValueError, match="max_iters"):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(history_size=0)
 
 
 @pytest.mark.parametrize("max_iters", [5, 500])

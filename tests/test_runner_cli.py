@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +224,14 @@ class TestConfigFile:
         assert cfg.protocol.cv.grid_sel == (0.0, 0.01, 0.1, 1.0, 10.0)
         assert cfg.generator.n == 5000 and cfg.generator.d == 5
 
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", readme, flags=re.MULTILINE)
+        assert [key for key, _ in rows] == list(CONFIG_KEYS)
+        for key, default in rows:
+            parser, expected = CONFIG_KEYS[key]
+            assert parser(default) == expected, key
+
     def test_defaults_are_the_dataclass_defaults(self):
         # The CLI and library callers share one source of defaults.
         assert build_config({}) == ExperimentConfig()
@@ -301,6 +311,12 @@ class TestCliMain:
             (["--models", "naive,real,naive"], "naive,real,naive"),
             (["--quantile-rule", "2"], "2.0"),
             (["--cv.grid_sel", "0.1,0.1,0.0"], "grid_sel repeats the penalty value(s) [0.1]"),
+            (["--optimizer.grad_tol", "nan"], "grad_tol must be finite and positive, got nan"),
+            (["--optimizer.grad_tol", "inf"], "grad_tol must be finite and positive, got inf"),
+            (["--cv.grid_sel", "nan"], "grid_sel (nan,)"),
+            (["--cv.grid_tgt", "nan,nan"], "grid_tgt (nan, nan)"),
+            (["--cv.grid_tgt", "0,inf"], "grid_tgt (0.0, inf)"),
+            (["--cv.max_iters", "0"], "cv_max_iters must be >= 1, got 0"),
         ],
     )
     def test_invalid_value_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, flags, named):
@@ -312,6 +328,14 @@ class TestCliMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err
+
+    @pytest.mark.parametrize("line", ["reg.norm_sel=l1", "optimizer.history_size=5"])
+    def test_removed_key_in_config_file_rejected(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(line + "\n")
+        code = main(["bench-synth", "--trials", "1", "--config", str(cfg_file), *self._flags(tmp_path)])
+        assert code == 2
+        assert f"unknown key {line.split('=')[0]!r}" in capsys.readouterr().err
 
     def test_config_file_flag(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
