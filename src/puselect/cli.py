@@ -7,8 +7,8 @@ Verbs: ``generate`` (write a synthetic dataset CSV + ground-truth sidecar),
 
 Configuration is a flat ``key=value`` file with dotted section prefixes
 (``generator.n=5000``); every key is also exposed as a CLI flag of the
-same dotted name (``--generator.n 5000``), and the common ones have the
-short flags ``--seed --trials --jobs --out --models --quantile-rule``.
+same dotted name (``--generator.n 5000``); ``--quantile-rule`` is the one
+alias, of ``--quantile_rule``.
 Precedence: defaults < config file < flags.
 """
 
@@ -37,10 +37,7 @@ def _parse_floats(v: str) -> tuple[float, ...]:
 
 
 def _parse_models(v: str) -> tuple[ModelKind, ...]:
-    kinds = tuple(ModelKind(p.strip()) for p in v.split(",") if p.strip() != "")
-    if not kinds:
-        raise ValueError("model list is empty")
-    return kinds
+    return tuple(ModelKind(p.strip()) for p in v.split(",") if p.strip() != "")
 
 
 _EXPERIMENT = ExperimentConfig()
@@ -73,19 +70,7 @@ CONFIG_KEYS: dict = {
     "cv.max_iters": (int, _PROTOCOL.cv_max_iters),
     "optimizer.max_iters": (int, _PROTOCOL.optimizer.max_iters),
     "optimizer.grad_tol": (float, _PROTOCOL.optimizer.grad_tol),
-    "elkan.holdout_frac": (float, _PROTOCOL.elkan_holdout),
-    "psychm.init_guess": (float, _PROTOCOL.psychm_init[0]),
-    "psychm.init_lapse": (float, _PROTOCOL.psychm_init[1]),
     "fit.n_starts": (int, _PROTOCOL.n_starts),
-}
-
-_SHORT_FLAGS = {
-    "seed": "--seed",
-    "trials": "--trials",
-    "jobs": "--jobs",
-    "out": "--out",
-    "models": "--models",
-    "quantile_rule": "--quantile-rule",
 }
 
 
@@ -139,8 +124,6 @@ def build_config(raw: dict) -> ExperimentConfig:
             max_iters=r["optimizer.max_iters"], grad_tol=r["optimizer.grad_tol"]
         ),
         cv_max_iters=r["cv.max_iters"],
-        elkan_holdout=r["elkan.holdout_frac"],
-        psychm_init=(r["psychm.init_guess"], r["psychm.init_lapse"]),
         n_starts=r["fit.n_starts"],
     )
     return ExperimentConfig(
@@ -159,9 +142,7 @@ def build_config(raw: dict) -> ExperimentConfig:
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="key=value configuration file")
     for key in CONFIG_KEYS:
-        flags = [f"--{key}"]
-        if key in _SHORT_FLAGS and _SHORT_FLAGS[key] != f"--{key}":
-            flags.append(_SHORT_FLAGS[key])
+        flags = [f"--{key}", "--quantile-rule"] if key == "quantile_rule" else [f"--{key}"]
         sub.add_argument(*flags, dest=key, metavar="V", default=None, help=argparse.SUPPRESS)
 
 

@@ -1,11 +1,12 @@
 """Model fitting: the two annotation-aware models, three baselines, and CV.
 
-Every fit is deterministic given (data, penalties, protocol, seed, init).
-The non-convex fits draw their weight initializations from per-start Philox
-streams; the convex logistic baselines start at zero, so their seed
-argument is inert.  An ``init`` vector, the ``theta`` of an earlier fit of
-the same model, replaces the first start; cross-validation uses it to walk
-each fold along a warm-started regularization path.
+Every fit is deterministic given (data, penalties, protocol, seed, init),
+and every fit starts through `_best_of_starts`.  The non-convex fits draw
+their weight initializations from per-start Philox streams; the convex
+logistic baselines run one start, from zero, so their seed argument is
+inert.  An ``init`` vector, the ``theta`` of an earlier fit of the same
+model, replaces the first start; cross-validation uses it to walk each
+fold along a warm-started regularization path.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 _INIT_SCALE = 0.1  # std of the Gaussian weight initialization; biases start at 0
+_PSYCHM_INIT = (0.7, 0.02)  # the (guess, lapse) rates every seeded PsychM start is at
+_ELKAN_HOLDOUT = 0.2  # share of rows Elkan's baseline holds out to estimate c
+_TWO_FACTOR = (ModelKind.SPM, ModelKind.PSYCHM)
 
 
 class DegenerateDataError(ValueError):
@@ -114,24 +118,18 @@ class TrainingProtocol:
     """Every training setting besides the data, the model kind and the penalties.
 
     Every ``fit_*``, `select_hyperparams` and `train_model` takes one; its
-    field defaults are the only defaults of these settings.
+    field defaults are the only defaults of these settings.  PsychM's start
+    rates and Elkan's holdout share are constants of this module.
     """
 
     cv: CvConfig = field(default_factory=CvConfig)
     optimizer: OptimizerConfig = OptimizerConfig()
     cv_max_iters: int = 66  # iteration cap of CV fold fits
-    elkan_holdout: float = 0.2
-    psychm_init: tuple[float, float] = (0.7, 0.02)
-    n_starts: int = 3
+    n_starts: int = 3  # starts of a final SPM or PsychM fit
 
     def __post_init__(self):
         if self.cv_max_iters < 1:
             raise ValueError(f"cv_max_iters must be >= 1, got {self.cv_max_iters}")
-        if not 0.0 < self.elkan_holdout < 1.0:
-            raise ValueError(f"elkan_holdout must be in (0, 1), got {self.elkan_holdout}")
-        guess, lapse = self.psychm_init
-        if not (0.0 < guess < 1.0 and 0.0 <= lapse < 1.0 and guess + lapse < 1.0):
-            raise ValueError(f"psychm_init {self.psychm_init}: need guess in (0,1), lapse in [0,1), sum < 1")
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
 
@@ -151,18 +149,46 @@ def _diag(result: OptimResult, notes: tuple[str, ...] = ()) -> FitDiagnostics:
     )
 
 
+def _best_of_starts(data, kind, reg, protocol, seed, init) -> OptimResult:
+    """The lowest-loss fit over the model's starts; ``init``, when given, is
+    the first start.
+
+    The one-factor baselines run one start, from ``init`` or zero: their
+    loss is convex, so the zero start is as good as any and keeps them
+    seed-independent.  SPM and PsychM run ``protocol.n_starts`` starts; a
+    seeded one has Gaussian weights and zero biases, and PsychM's rate
+    surrogates at `_PSYCHM_INIT` after the selection bias.
+    """
+    value, value_and_grad = make_loss_functions(data, kind, reg)
+    two_factor = kind in _TWO_FACTOR
+    surrogates = unconstrain_rates(*_PSYCHM_INIT) if kind == ModelKind.PSYCHM else ()
+    best = None
+    for start in range(protocol.n_starts if two_factor else 1):
+        if start == 0 and init is not None:
+            theta0 = init
+        elif not two_factor:
+            theta0 = np.zeros(data.dim + 1)
+        else:
+            rng = _rng(seed, start)
+            # Selection weights are drawn before target weights; the order
+            # fixes each start's stream.
+            sel_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
+            tgt_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
+            theta0 = np.concatenate([sel_w, [0.0, *surrogates], tgt_w, [0.0]])
+        result = minimize(value, value_and_grad, theta0, protocol.optimizer)
+        if best is None or result.loss < best.loss:
+            best = result
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Logistic regression (naive / oracle / Elkan's annotation model)
 
 
-def _fit_logistic(data, kind, reg, opt: OptimizerConfig, init) -> FittedModel:
+def _fit_logistic(data, kind, reg, protocol, seed, init) -> FittedModel:
     """The one-factor layout of the likelihood engine: a logistic regression
-    of l (y for the oracle) on x, penalized by ``reg.c_tgt``, from ``init``
-    or zero."""
-    # The problem is convex, so the zero start is as good as any and keeps
-    # the baselines seed-independent.
-    theta0 = np.zeros(data.dim + 1) if init is None else init
-    result = minimize(*make_loss_functions(data, kind, reg), theta0, opt)
+    of l (y for the oracle) on x, penalized by ``reg.c_tgt``."""
+    result = _best_of_starts(data, kind, reg, protocol, seed, init)
     target = LinearParams(w=result.params[:-1], b=result.params[-1])
     return FittedModel(
         kind=kind, target=target, diagnostics=_diag(result), reg=reg, theta=result.params
@@ -179,7 +205,7 @@ def fit_naive(
     """
     if np.all(data.l == data.l[0]):
         raise DegenerateDataError("annotation flags are all equal; nothing to fit")
-    return _fit_logistic(data, ModelKind.NAIVE, reg, protocol.optimizer, init)
+    return _fit_logistic(data, ModelKind.NAIVE, reg, protocol, seed, init)
 
 
 def fit_real_oracle(
@@ -190,7 +216,7 @@ def fit_real_oracle(
         raise ValueError("oracle fit needs ground-truth classes y")
     if np.all(data.y == data.y[0]):
         raise DegenerateDataError("classes are all equal; nothing to fit")
-    return _fit_logistic(data, ModelKind.REAL_ORACLE, reg, protocol.optimizer, init)
+    return _fit_logistic(data, ModelKind.REAL_ORACLE, reg, protocol, seed, init)
 
 
 def fit_elkan(
@@ -198,13 +224,13 @@ def fit_elkan(
 ) -> FittedModel:
     """Constant-propensity baseline: learn h(x) = p(l=1|x), then estimate the
     labeling constant as the mean of h over the annotated holdout rows."""
-    train, holdout = split(data, 1.0 - protocol.elkan_holdout, seed=_derive_seed(seed, 100))
+    train, holdout = split(data, 1.0 - _ELKAN_HOLDOUT, seed=_derive_seed(seed, 100))
     if np.all(train.l == train.l[0]):
         raise DegenerateDataError("training part has all-equal annotation flags")
     labeled = holdout.l == 1
     if not np.any(labeled):
         raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")
-    model = _fit_logistic(train, ModelKind.ELKAN, reg, protocol.optimizer, init)
+    model = _fit_logistic(train, ModelKind.ELKAN, reg, protocol, seed, init)
     h = model.target
     return replace(model, c_hat=float(np.mean(affine_sigmoid(holdout.x[labeled], h.w, h.b))))
 
@@ -221,32 +247,9 @@ def _assign_target_factor(params: SpmParams) -> SpmParams:
     Euclidean norm (the steeper sigmoid) is the classifier.  On an exact
     tie the first factor of the free-parameter layout is the classifier.
     """
-    first, second = params.selection, params.target
-    if first.norm() >= second.norm():
-        return SpmParams(selection=second, target=first)
-    return SpmParams(selection=first, target=second)
-
-
-def _best_of_starts(data, kind, reg, protocol, seed, init, rate_surrogates=()) -> OptimResult:
-    """Best of ``protocol.n_starts`` fits from Gaussian weights and zero biases,
-    with the rate surrogates, when the model has them, after the selection
-    bias; ``init``, when given, is the first start instead."""
-    value, value_and_grad = make_loss_functions(data, kind, reg)
-    best = None
-    for start in range(protocol.n_starts):
-        if start == 0 and init is not None:
-            theta0 = init
-        else:
-            rng = _rng(seed, start)
-            # Selection weights are drawn before target weights; the order
-            # fixes each start's stream.
-            sel_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
-            tgt_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
-            theta0 = np.concatenate([sel_w, [0.0, *rate_surrogates], tgt_w, [0.0]])
-        result = minimize(value, value_and_grad, theta0, protocol.optimizer)
-        if best is None or result.loss < best.loss:
-            best = result
-    return best
+    if params.selection.norm() >= params.target.norm():
+        return params.swapped()
+    return params
 
 
 def fit_spm(
@@ -272,11 +275,10 @@ def fit_psychm(
     data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
 ) -> FittedModel:
     """Maximum-likelihood fit of the psychometric model via the unconstrained
-    rate surrogates, started at the protocol's ``psychm_init`` rates; the
+    rate surrogates, with seeded starts at the rates `_PSYCHM_INIT`; the
     target factor is the classifier directly."""
     d = data.dim
-    surrogates = unconstrain_rates(*protocol.psychm_init)
-    best = _best_of_starts(data, ModelKind.PSYCHM, reg, protocol, seed, init, surrogates)
+    best = _best_of_starts(data, ModelKind.PSYCHM, reg, protocol, seed, init)
     params = unpack_psychm(best.params, d)
     notes = ("selection rates are not identifiable with 1-dimensional features",) if d == 1 else ()
     return FittedModel(
@@ -360,7 +362,7 @@ def select_hyperparams(
         for f, val_idx in enumerate(folds)
     ]
 
-    has_selection = kind in (ModelKind.SPM, ModelKind.PSYCHM)
+    has_selection = kind in _TWO_FACTOR
     warm = [None] * cv.folds  # per fold: the free parameters of its last successful fit
     best = None
     for key, c_sel, c_tgt in _cv_path(cv, has_selection):

@@ -57,9 +57,7 @@ __all__ = [
     "RegConfig",
     "constrain_rates",
     "unconstrain_rates",
-    "pack_spm",
     "unpack_spm",
-    "pack_psychm",
     "unpack_psychm",
     "free_param_length",
     "conditional_log_likelihood",
@@ -127,11 +125,6 @@ def free_param_length(kind: ModelKind, dim: int) -> int:
     return factors * (dim + 1) + (2 if rates is None else 0)
 
 
-def pack_spm(params: SpmParams) -> np.ndarray:
-    sel, tgt = params.selection, params.target
-    return np.concatenate([sel.w, [sel.b], tgt.w, [tgt.b]])
-
-
 def unpack_spm(theta: np.ndarray, dim: int) -> SpmParams:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2 * dim + 2,):
@@ -140,12 +133,6 @@ def unpack_spm(theta: np.ndarray, dim: int) -> SpmParams:
         selection=LinearParams(w=theta[:dim], b=theta[dim]),
         target=LinearParams(w=theta[dim + 1 : 2 * dim + 1], b=theta[2 * dim + 1]),
     )
-
-
-def pack_psychm(params: PsychmParams) -> np.ndarray:
-    sel, tgt = params.selection, params.target
-    guess_raw, lapse_raw = unconstrain_rates(params.guess, params.lapse)
-    return np.concatenate([sel.w, [sel.b, guess_raw, lapse_raw], tgt.w, [tgt.b]])
 
 
 def unpack_psychm(theta: np.ndarray, dim: int) -> PsychmParams:

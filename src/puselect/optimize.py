@@ -13,6 +13,7 @@ the gradient-norm tolerance was met.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -93,18 +94,16 @@ def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
     if not np.isfinite(f):
         raise NonFiniteError(f"objective is {f} at iterate", x)
     gnorm = float(np.linalg.norm(g))
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history = deque(maxlen=_HISTORY)  # curvature pairs (s, y, 1 / s.y), oldest first
 
     iterations = 0
     while gnorm > cfg.grad_tol and iterations < cfg.max_iters:
-        direction = -_two_loop(g, s_hist, y_hist, rho_hist)
+        direction = -_two_loop(g, history)
         slope = float(direction @ g)
         if slope >= 0.0:
             # Not a descent direction: drop the history and fall back to
             # steepest descent.
-            s_hist, y_hist, rho_hist = [], [], []
+            history.clear()
             direction = -g
             slope = -float(g @ g)
 
@@ -119,13 +118,7 @@ def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)
         if sy > 1e-10 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _HISTORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            history.append((s_vec, y_vec, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))
 
@@ -138,17 +131,17 @@ def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
     )
 
 
-def _two_loop(g: np.ndarray, s_hist, y_hist, rho_hist) -> np.ndarray:
+def _two_loop(g: np.ndarray, history) -> np.ndarray:
     q = g.copy()
     alphas = []
-    for s_vec, y_vec, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+    for s_vec, y_vec, rho in reversed(history):
         a = rho * float(s_vec @ q)
         alphas.append(a)
         q -= a * y_vec
-    if s_hist:
-        y_last = y_hist[-1]
-        q *= float(s_hist[-1] @ y_last) / float(y_last @ y_last)
-    for s_vec, y_vec, rho, a in zip(s_hist, y_hist, rho_hist, reversed(alphas)):
+    if history:
+        s_last, y_last, _ = history[-1]
+        q *= float(s_last @ y_last) / float(y_last @ y_last)
+    for (s_vec, y_vec, rho), a in zip(history, reversed(alphas)):
         b = rho * float(y_vec @ q)
         q += (a - b) * s_vec
     return q

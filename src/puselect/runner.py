@@ -28,6 +28,7 @@ from .metrics import (
     METRIC_NAMES,
     MetricReport,
     SignificanceMatrix,
+    brier,
     score_report,
     significance_matrix,
 )
@@ -356,7 +357,7 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
     data = read_csv(dataset_path)
     model = train_model(data, kind, cfg.protocol, seed=cfg.seed)
 
-    training = {"brier_annotation": float(np.mean((model.annotation_probability(data.x) - data.l) ** 2))}
+    training = {"brier_annotation": brier(model.annotation_probability(data.x), data.l)}
     if data.y is not None:
         rep = score_report(kind, 0, model.score(data.x), data.y)
         training.update({"f1": rep.f1, "accuracy": rep.accuracy, "auc": rep.auc, "brier": rep.brier})

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, _rng
-from .models import LinearParams, PsychmParams, affine_sigmoid, psychometric
+from .models import LinearParams, PsychmParams, _check_rates, affine_sigmoid, psychometric
 
 __all__ = ["XDist", "GeneratorConfig", "sample_params", "generate"]
 
@@ -50,8 +50,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
-        if self.rho1 < 0 or self.rho2 < 0 or self.k < 0:
-            raise ValueError("rho1, rho2, k must be nonnegative")
+        for name in ("rho1", "rho2", "k"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        _check_rates(self.guess, self.lapse)
 
 
 def _shifted_gaussian(rng: np.random.Generator, d: int, rho: float, k: float) -> np.ndarray:

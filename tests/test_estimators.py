@@ -179,10 +179,6 @@ class TestFitElkan:
                 break
         assert failed
 
-    def test_holdout_frac_validated(self):
-        with pytest.raises(ValueError, match="elkan_holdout"):
-            TrainingProtocol(elkan_holdout=1.0)
-
     def test_calibration_improves_with_sample_size(self):
         truth = scar_params(d=3, c=0.6, tgt_scale=1.5, seed=10)
         errors = {}
@@ -256,12 +252,6 @@ class TestFitSpm:
 
 
 class TestFitPsychm:
-    def test_init_validation(self):
-        with pytest.raises(ValueError, match="psychm_init"):
-            TrainingProtocol(psychm_init=(0.0, 0.02))
-        with pytest.raises(ValueError, match="psychm_init"):
-            TrainingProtocol(psychm_init=(0.6, 0.5))
-
     def test_rate_recovery(self):
         truth = PsychmParams(
             selection=LinearParams(w=np.array([2.0, -1.5, 1.0, 0.5, -1.0]), b=0.2),
@@ -310,12 +300,29 @@ class TestFitPsychm:
 
 
 class TestTrainingProtocol:
-    @pytest.mark.parametrize(
-        "field, value", [("n_starts", 0), ("cv_max_iters", 0), ("elkan_holdout", 0.0)]
-    )
+    @pytest.mark.parametrize("field, value", [("n_starts", 0), ("cv_max_iters", 0)])
     def test_out_of_range_value_named(self, field, value):
         with pytest.raises(ValueError, match=f"{field}.*{value}"):
             TrainingProtocol(**{field: value})
+
+    @pytest.mark.parametrize("kind", [ModelKind.NAIVE, ModelKind.REAL_ORACLE, ModelKind.ELKAN])
+    def test_baseline_runs_one_start_from_zero(self, monkeypatch, kind):
+        # The baselines are convex: one start from zero, whatever the
+        # protocol's restarts and the seed.
+        data = generate(GeneratorConfig(n=200, d=2, seed=44))
+        starts = []
+        original = est.minimize
+
+        def recording(value, value_and_grad, init, cfg):
+            starts.append(np.array(init))
+            return original(value, value_and_grad, init, cfg)
+
+        monkeypatch.setattr(est, "minimize", recording)
+        for n_starts, seed in ((1, 0), (3, 5), (5, 123)):
+            starts.clear()
+            est._fit_kind(data, kind, REG0, TrainingProtocol(n_starts=n_starts), seed)
+            assert len(starts) == 1
+            assert starts[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_fold_budget_is_the_protocol_cap(self, monkeypatch):
         data = generate(GeneratorConfig(n=120, d=2, seed=43))

@@ -219,7 +219,6 @@ class TestConfigFile:
         assert cfg.trials == 500
         assert cfg.resamples == 200
         assert cfg.quantile_rule == 0.05
-        assert cfg.protocol.psychm_init == (0.7, 0.02)
         assert cfg.protocol.cv.folds == 3
         assert cfg.protocol.cv.grid_sel == (0.0, 0.01, 0.1, 1.0, 10.0)
         assert cfg.generator.n == 5000 and cfg.generator.d == 5
@@ -305,8 +304,8 @@ class TestCliMain:
         "flags, named",
         [
             (["--fit.n_starts", "0"], "n_starts"),
-            (["--elkan.holdout_frac", "1.5"], "1.5"),
-            (["--psychm.init_guess", "0"], "(0.0, 0.02)"),
+            (["--generator.rho1", "nan"], "rho1 must be finite and >= 0, got nan"),
+            (["--generator.guess", "0.6", "--generator.lapse", "0.6"], "guess=0.6, lapse=0.6"),
             (["--models", "naive,naive"], "naive,naive"),
             (["--models", "naive,real,naive"], "naive,real,naive"),
             (["--quantile-rule", "2"], "2.0"),
@@ -317,6 +316,9 @@ class TestCliMain:
             (["--cv.grid_tgt", "nan,nan"], "grid_tgt (nan, nan)"),
             (["--cv.grid_tgt", "0,inf"], "grid_tgt (0.0, inf)"),
             (["--cv.max_iters", "0"], "cv_max_iters must be >= 1, got 0"),
+            (["--generator.rho2", "inf"], "rho2 must be finite and >= 0, got inf"),
+            (["--generator.k", "nan"], "k must be finite and >= 0, got nan"),
+            (["--generator.lapse", "nan"], "guess and lapse rates must be finite"),
         ],
     )
     def test_invalid_value_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, flags, named):
@@ -328,6 +330,7 @@ class TestCliMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err
+        assert not (tmp_path / "cli_out").exists()
 
     @pytest.mark.parametrize("line", ["reg.norm_sel=l1", "optimizer.history_size=5"])
     def test_removed_key_in_config_file_rejected(self, tmp_path, capsys, line):
