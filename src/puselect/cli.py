@@ -210,7 +210,8 @@ def main(argv=None) -> int:
 def _print_table(table, cfg: ExperimentConfig) -> None:
     if table.non_converged_fits:
         print(
-            f"warning: {table.non_converged_fits} fits did not reach the gradient tolerance",
+            f"warning: {table.non_converged_fits} final fits did not converge "
+            "(they hit optimizer.max_iters or their line search stalled)",
             file=sys.stderr,
         )
     header = ["metric"] + [k.value for k in cfg.models]

@@ -5,8 +5,9 @@ and every fit starts through `_best_of_starts`.  The non-convex fits draw
 their weight initializations from per-start Philox streams; the convex
 logistic baselines run one start, from zero, so their seed argument is
 inert.  An ``init`` vector, the ``theta`` of an earlier fit of the same
-model, replaces the first start; cross-validation uses it to walk each
-fold along a warm-started regularization path.
+model, replaces the first start when its loss is no higher;
+cross-validation uses it to walk each fold along a warm-started
+regularization path.
 """
 
 from __future__ import annotations
@@ -150,23 +151,26 @@ def _diag(result: OptimResult, notes: tuple[str, ...] = ()) -> FitDiagnostics:
 
 
 def _best_of_starts(data, kind, reg, protocol, seed, init) -> OptimResult:
-    """The lowest-loss fit over the model's starts; ``init``, when given, is
-    the first start.
+    """The lowest-loss fit over the model's starts; ``init``, when given,
+    replaces the first start unless its loss is higher there.
 
     The one-factor baselines run one start, from ``init`` or zero: their
     loss is convex, so the zero start is as good as any and keeps them
     seed-independent.  SPM and PsychM run ``protocol.n_starts`` starts; a
     seeded one has Gaussian weights and zero biases, and PsychM's rate
     surrogates at `_PSYCHM_INIT` after the selection bias.
+
+    The loss comparison guards the warm path: an optimum carried from a
+    smaller penalty can sit where the larger one costs far more than a cold
+    start (PsychM's selection weights diverge at a zero selection penalty),
+    and the first step from there can land on a plateau of clamped rows.
     """
     value, value_and_grad = make_loss_functions(data, kind, reg)
     two_factor = kind in _TWO_FACTOR
     surrogates = unconstrain_rates(*_PSYCHM_INIT) if kind == ModelKind.PSYCHM else ()
     best = None
     for start in range(protocol.n_starts if two_factor else 1):
-        if start == 0 and init is not None:
-            theta0 = init
-        elif not two_factor:
+        if not two_factor:
             theta0 = np.zeros(data.dim + 1)
         else:
             rng = _rng(seed, start)
@@ -175,6 +179,8 @@ def _best_of_starts(data, kind, reg, protocol, seed, init) -> OptimResult:
             sel_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
             tgt_w = rng.normal(0.0, _INIT_SCALE, size=data.dim)
             theta0 = np.concatenate([sel_w, [0.0, *surrogates], tgt_w, [0.0]])
+        if start == 0 and init is not None and value(init) <= value(theta0):
+            theta0 = init
         result = minimize(value, value_and_grad, theta0, protocol.optimizer)
         if best is None or result.loss < best.loss:
             best = result
@@ -312,23 +318,32 @@ def _fit_kind(data, kind, reg, protocol: TrainingProtocol, seed, init=None) -> F
     return globals()[_FIT_NAMES[kind]](data, reg, protocol, seed, init)
 
 
-def _cv_path(cv: CvConfig, has_selection: bool) -> list[tuple[tuple[int, ...], float, float]]:
+def _cv_path(cv: CvConfig, kind: ModelKind) -> list[tuple[tuple[int, ...], float, float]]:
     """The live grid cells as ``(key, c_sel, c_tgt)``, ``key`` being the
-    cell's grid indices, in regularization-path order: selection penalty from
-    largest to smallest, and within each, the target penalty from largest to
-    smallest and back on the next row, so that consecutive cells differ in
-    one coefficient by one grid step.  Models without a selection factor
-    walk the target axis only, at the largest selection penalty."""
+    cell's grid indices, in regularization-path order.  SPM starts at the
+    most regularized cell: the selection penalty runs from largest to
+    smallest, and within each selection value the target penalty from
+    largest to smallest and back on the next row, so that consecutive cells
+    differ in one coefficient by one grid step.  PsychM walks the same snake
+    from the least regularized cell, both axes from smallest to largest.
+    Models without a selection factor walk the target axis only, largest to
+    smallest, at the largest selection penalty.
 
-    def descending(grid):
-        return sorted(range(len(grid)), key=grid.__getitem__, reverse=True)
+    PsychM starts unregularized because at a large selection penalty s(x)
+    is near constant and guess and span trade off almost freely: a path
+    started there carries a high-guess optimum on to the cells that can
+    identify the rates."""
+    upward = kind == ModelKind.PSYCHM
 
-    tgt = descending(cv.grid_tgt)
-    if not has_selection:
+    def order(grid):
+        return sorted(range(len(grid)), key=grid.__getitem__, reverse=not upward)
+
+    tgt = order(cv.grid_tgt)
+    if kind not in _TWO_FACTOR:
         return [((t,), max(cv.grid_sel), cv.grid_tgt[t]) for t in tgt]
     return [
         ((s, t), cv.grid_sel[s], cv.grid_tgt[t])
-        for row, s in enumerate(descending(cv.grid_sel))
+        for row, s in enumerate(order(cv.grid_sel))
         for t in (tgt if row % 2 == 0 else tgt[::-1])
     ]
 
@@ -342,7 +357,8 @@ def select_hyperparams(
     each at ``protocol.cv_optimizer_for()``; restarts are reserved for the
     final fit.  Each fold walks the cells in `_cv_path` order: its first fit
     starts from the cell's seeded draw (zero for the baselines), and every
-    later fit from the fold's last successful optimum.  Ties go to the more
+    later fit from the fold's last successful optimum, unless that draw has
+    the lower loss (see `_best_of_starts`).  Ties go to the more
     regularized pair: larger coefficient sum, then larger target penalty,
     then larger selection penalty.  Models without a selection factor are
     fitted once per target penalty, at the largest selection penalty, the
@@ -362,10 +378,9 @@ def select_hyperparams(
         for f, val_idx in enumerate(folds)
     ]
 
-    has_selection = kind in _TWO_FACTOR
     warm = [None] * cv.folds  # per fold: the free parameters of its last successful fit
     best = None
-    for key, c_sel, c_tgt in _cv_path(cv, has_selection):
+    for key, c_sel, c_tgt in _cv_path(cv, kind):
         reg = RegConfig(c_sel=c_sel, c_tgt=c_tgt)
         scores = []
         try:

@@ -21,14 +21,25 @@ Free parameter vectors are laid out as
     sigmoid product: [sel.w (d), sel.b, tgt.w (d), tgt.b]            (2d + 2)
     psychometric:    [sel.w (d), sel.b, guess', lapse', tgt.w (d), tgt.b]  (2d + 4)
 
-where guess' and lapse' are unconstrained surrogates: the map
+where guess' and lapse' are unconstrained surrogates: the rates are the
+softmax of the logits (0, guess', lapse'),
 
-    guess = |guess'| / (1 + |guess'| + |lapse'|)
-    lapse = |lapse'| / (1 + |guess'| + |lapse'|)
+    guess = e^guess' / (1 + e^guess' + e^lapse')
+    lapse = e^lapse' / (1 + e^guess' + e^lapse')
 
-keeps guess, lapse >= 0 and guess + lapse < 1 for every finite input, so
-the loss is defined on all of R^(2d+4) and plain unconstrained minimizers
-apply.  The subgradient of |.| at 0 is taken to be 0.
+so the span 1 - guess - lapse is the share of the zero logit.  The map is
+smooth and keeps guess, lapse > 0 and guess + lapse < 1, so the loss is
+defined on all of R^(2d+4) and plain unconstrained minimizers apply.  Its
+Jacobian is the softmax's,
+
+    d guess / d guess' = guess (1 - guess)    d lapse / d guess' = -guess lapse
+
+and symmetrically for lapse', so a derivative D_g by guess and D_l by
+lapse chain to guess (D_g - m) and lapse (D_l - m), m = guess D_g +
+lapse D_l.  Each surrogate is clipped to [-RATE_LOGIT_BOUND,
+RATE_LOGIT_BOUND] first, where its derivative is 0: past about 36.7 a rate
+rounds to 1 in float64, and the psychometric parameters reject that.
+A rate of exactly 0 is out of reach; the fixed-rate layouts below serve it.
 
 The sigmoid product is the psychometric model with guess = lapse = 0, so
 one engine evaluates both: with the rates free (the psychometric layout)
@@ -45,6 +56,7 @@ fits the ground-truth classes y in their place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +66,7 @@ from .models import LinearParams, ModelKind, PsychmParams, SpmParams
 
 __all__ = [
     "LOG_CLAMP",
+    "RATE_LOGIT_BOUND",
     "RegConfig",
     "constrain_rates",
     "unconstrain_rates",
@@ -75,6 +88,12 @@ __all__ = [
 # value see).
 LOG_CLAMP = 1e-12
 
+# The rate surrogates act through their clip to [-RATE_LOGIT_BOUND,
+# RATE_LOGIT_BOUND].  There a rate is at most about 1 - 9.4e-14 and the
+# span 1 - guess - lapse at least 1 / (1 + 2 e^30), about 4.7e-14, so every
+# mapped pair is a valid psychometric (guess, lapse) in float64.
+RATE_LOGIT_BOUND = 30.0
+
 
 @dataclass(frozen=True)
 class RegConfig:
@@ -90,21 +109,24 @@ class RegConfig:
 
 
 def constrain_rates(guess_raw: float, lapse_raw: float) -> tuple[float, float]:
-    """Map unconstrained surrogates to valid (guess, lapse) rates."""
-    g, l = abs(float(guess_raw)), abs(float(lapse_raw))
-    if not (np.isfinite(g) and np.isfinite(l)):
+    """Map unconstrained surrogates to valid (guess, lapse) rates: the
+    softmax of (0, guess', lapse'), each surrogate clipped to the bound."""
+    a, b = float(guess_raw), float(lapse_raw)
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("rate surrogates must be finite")
-    denom = 1.0 + g + l
-    return g / denom, l / denom
+    ea = math.exp(min(max(a, -RATE_LOGIT_BOUND), RATE_LOGIT_BOUND))
+    eb = math.exp(min(max(b, -RATE_LOGIT_BOUND), RATE_LOGIT_BOUND))
+    denom = 1.0 + ea + eb
+    return ea / denom, eb / denom
 
 
 def unconstrain_rates(guess: float, lapse: float) -> tuple[float, float]:
-    """Inverse of :func:`constrain_rates` for guess, lapse >= 0 with sum < 1."""
+    """Inverse of :func:`constrain_rates` for guess, lapse > 0 with sum < 1."""
     guess, lapse = float(guess), float(lapse)
-    if guess < 0 or lapse < 0 or guess + lapse >= 1:
-        raise ValueError("need guess, lapse >= 0 with guess + lapse < 1")
-    denom = 1.0 - guess - lapse
-    return guess / denom, lapse / denom
+    if guess <= 0 or lapse <= 0 or guess + lapse >= 1:
+        raise ValueError("need guess, lapse > 0 with guess + lapse < 1")
+    span = 1.0 - guess - lapse
+    return math.log(guess / span), math.log(lapse / span)
 
 
 # Per model kind: the number of sigmoid factors, the (guess, lapse) rates,
@@ -220,9 +242,9 @@ class _Engine:
             raise ValueError(f"expected {self.n_free} free parameters, got {theta.shape}")
         return theta
 
-    def _forward(self, theta: np.ndarray) -> tuple[float, float]:
-        """Data log-likelihood and rate span at a checked theta; leaves the
-        per-row intermediates in the work arrays."""
+    def _forward(self, theta: np.ndarray) -> tuple[float, float, float]:
+        """Data log-likelihood and (guess, lapse) rates at a checked theta;
+        leaves the per-row intermediates in the work arrays."""
         d = self.d
         if self.rates is None:
             guess, lapse = constrain_rates(theta[d + 1], theta[d + 2])
@@ -252,7 +274,7 @@ class _Engine:
         arg = np.multiply(self.sign, q, out=self.arg)
         np.add(self.base, arg, out=arg)
         np.clip(arg, LOG_CLAMP, 1.0 - LOG_CLAMP, out=self.clipped)
-        return float(np.sum(np.log(self.clipped, out=self.logs))), span
+        return float(np.sum(np.log(self.clipped, out=self.logs))), guess, lapse
 
     def _penalized(self, theta: np.ndarray, total: float) -> float:
         value = -total
@@ -268,7 +290,7 @@ class _Engine:
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = self._check(theta)
-        total, span = self._forward(theta)
+        total, guess, lapse = self._forward(theta)
 
         # d log(clip(arg)) / dq is sign / arg where the clamp leaves arg as
         # it is, and 0 where it moved arg.
@@ -284,7 +306,7 @@ class _Engine:
         np.subtract(1.0, s, out=c)
         np.multiply(dz, c, out=dz)
         if self.mapped:
-            dz[0] *= span
+            dz[0] *= 1.0 - guess - lapse
 
         d = self.d
         grad = np.empty(self.n_free)
@@ -294,19 +316,14 @@ class _Engine:
                 grad[offset : offset + d] += 2.0 * penalty * theta[offset : offset + d]
         if self.rates is None:
             # dp_0 / dguess = 1 - s_0 and dp_0 / dlapse = -s_0, chained
-            # through the surrogate map: with D = 1 + |g'| + |l'| the
-            # Jacobian entries are
-            #   d guess / d g' = sign(g') (1 + |l'|) / D^2
-            #   d lapse / d g' = -sign(g') |l'| / D^2
-            # and symmetrically for l'; sign(0) = 0.
+            # through the softmax Jacobian (module docstring); a surrogate
+            # past its clip has derivative 0.
             d_guess = float(dq[0] @ c[0])
             d_lapse = -float(dq[0] @ s[0])
-            g_raw, l_raw = theta[d + 1], theta[d + 2]
-            denom = (1.0 + abs(g_raw) + abs(l_raw)) ** 2
-            d_g_raw = np.sign(g_raw) * ((1.0 + abs(l_raw)) * d_guess - abs(l_raw) * d_lapse) / denom
-            d_l_raw = np.sign(l_raw) * ((1.0 + abs(g_raw)) * d_lapse - abs(g_raw) * d_guess) / denom
-            grad[d + 1] = -d_g_raw
-            grad[d + 2] = -d_l_raw
+            mean = guess * d_guess + lapse * d_lapse
+            for j, rate, d_rate in ((d + 1, guess, d_guess), (d + 2, lapse, d_lapse)):
+                inside = abs(theta[j]) < RATE_LOGIT_BOUND
+                grad[j] = -rate * (d_rate - mean) if inside else 0.0
         return self._penalized(theta, total), grad
 
 

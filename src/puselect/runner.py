@@ -70,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1 or self.resamples < 1 or self.jobs < 1:
             raise ValueError("trials, resamples, and jobs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.models:
             raise ValueError("at least one model kind is required")
         if len(set(self.models)) != len(self.models):

@@ -435,6 +435,8 @@ class TestCriterion8Determinism:
         )
         assert ok
 
+    PSYCHM_GAP = 0.02  # how far PsychM's mean accuracy may trail SPM's in the closure run
+
     def test_real_benchmark_pipeline_closure_and_oracle_dominance(self, tmp_path):
         csv_path = tmp_path / "synth.csv"
         flags = ["--generator.n", "1000", "--generator.d", "3", "--seed", "31"]
@@ -455,10 +457,15 @@ class TestCriterion8Determinism:
             for k, v in mean_acc.items()
             if k != ModelKind.REAL_ORACLE
         )
+        # PsychM nests SPM, so one start of it should classify about as well.
+        # A one-start fit that settles in the swapped factorization (guess
+        # near 0, target weights near 0) scores near chance and fails this.
+        psychm_close = mean_acc[ModelKind.PSYCHM] >= mean_acc[ModelKind.SPM] - self.PSYCHM_GAP
         report(
             "criterion 8 (real-benchmark closure + oracle dominance)",
-            dominant,
+            dominant and psychm_close,
             f"generated CSV ran end to end; mean accuracy over 50 resamples "
             f"{{{', '.join(f'{k.value}={v:.4f}' for k, v in mean_acc.items())}}}",
         )
         assert dominant
+        assert psychm_close

@@ -263,26 +263,25 @@ class TestFitPsychm:
         model = fit_psychm(data, REG0, TrainingProtocol(n_starts=3), seed=26)
         assert abs(model.guess - 0.05) <= 0.1
 
-    def test_pinned_rates_reproduce_spm_trajectory(self):
-        # with both rate surrogates at the |.| kink their gradient is zero,
-        # so no search direction moves them and the remaining coordinates
-        # follow the sigmoid-product trajectory exactly
+    def test_vanishing_rates_approach_spm(self):
+        # SPM is PsychM with guess = lapse = 0, which the softmax map reaches
+        # only in the limit of both surrogates to -inf: along the way the
+        # loss and the weight gradient close in on SPM's, down to round-off
+        # at the surrogates' bound.
         data = generate(GeneratorConfig(n=400, d=2, seed=27))
         rng = np.random.default_rng(28)
-        w1, w2 = rng.normal(0, 0.1, 2), rng.normal(0, 0.1, 2)
-        spm_init = np.concatenate([w1, [0.0], w2, [0.0]])
-        psy_init = np.concatenate([w1, [0.0, 0.0, 0.0], w2, [0.0]])
-        opt = OptimizerConfig(max_iters=150)
-        spm_value, spm_value_and_grad = make_loss_functions(data, ModelKind.SPM, REG0)
-        psy_value, psy_value_and_grad = make_loss_functions(data, ModelKind.PSYCHM, REG0)
-        spm_res = minimize(spm_value, spm_value_and_grad, spm_init, opt)
-        psy_res = minimize(psy_value, psy_value_and_grad, psy_init, opt)
-        assert psy_res.params[3] == 0.0 and psy_res.params[4] == 0.0
-        spm_free = spm_res.params
-        psy_free = np.concatenate([psy_res.params[:3], psy_res.params[5:]])
-        assert spm_free.tobytes() == psy_free.tobytes()
-        assert spm_res.loss == psy_res.loss
-        assert spm_res.iterations == psy_res.iterations
+        reg = RegConfig(0.1, 0.1)
+        spm_theta = rng.normal(0.0, 1.0, size=6)
+        spm_value, spm_grad = make_loss_functions(data, ModelKind.SPM, reg)[1](spm_theta)
+        gaps = []
+        for surrogate in (-5.0, -10.0, -20.0, -30.0):
+            psy_theta = np.concatenate([spm_theta[:3], [surrogate, surrogate], spm_theta[3:]])
+            psy_value, psy_grad = make_loss_functions(data, ModelKind.PSYCHM, reg)[1](psy_theta)
+            weights = np.concatenate([psy_grad[:3], psy_grad[5:]])
+            gaps.append((abs(psy_value - spm_value), float(np.max(np.abs(weights - spm_grad)))))
+        assert all(a[0] > b[0] and a[1] > b[1] for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1][0] <= 1e-9 * abs(spm_value)
+        assert gaps[-1][1] <= 1e-9 * float(np.max(np.abs(spm_grad)))
 
     def test_default_fit_recovers_target(self):
         # Stopped far from the optimum, a fit on this dataset ends on a
@@ -482,14 +481,19 @@ class TestRegularizationPath:
         snake = [(1.0, 10.0), (1.0, 0.1), (1.0, 0.0),
                  (0.1, 0.0), (0.1, 0.1), (0.1, 10.0),
                  (0.0, 10.0), (0.0, 0.1), (0.0, 0.0)]
-        for kind, path in ((ModelKind.SPM, snake), (ModelKind.NAIVE, snake[:3])):
+        # PsychM walks the snake from the least regularized cell.
+        psychm = [(0.0, 0.0), (0.0, 0.1), (0.0, 10.0),
+                  (0.1, 10.0), (0.1, 0.1), (0.1, 0.0),
+                  (1.0, 0.0), (1.0, 0.1), (1.0, 10.0)]
+        # (model, path, grid indices of its first cell)
+        for kind, path, key in ((ModelKind.SPM, snake, (1, 1)), (ModelKind.NAIVE, snake[:3], (1,)),
+                                (ModelKind.PSYCHM, psychm, (2, 0))):
             calls = recording_fits(monkeypatch)
             select_hyperparams(data, kind, protocol, seed=48)
             for f in range(cv.folds):
                 fold_calls = [c for c in calls if c["fold"] == f]
                 assert [(c["reg"].c_sel, c["reg"].c_tgt) for c in fold_calls] == path
                 # the first cell's seed is keyed by its grid indices, as every cell's
-                key = (1, 1) if kind == ModelKind.SPM else (1,)
                 assert fold_calls[0]["seed"] == est._derive_seed(48, 1, *key, f)
                 assert fold_calls[0]["init"] is None
                 for prev, call in zip(fold_calls, fold_calls[1:]):
@@ -547,6 +551,35 @@ class TestRegularizationPath:
                 assert fold_calls[after]["seed"] == est._derive_seed(53, 1, 0, 1, f)
             else:
                 assert fold_calls[after]["init"] is fold_calls[path[0]]["model"].theta
+
+
+    def test_warm_start_costlier_than_the_cold_draw_is_dropped(self):
+        # Selection weights of norm 1000, as a fit at a zero selection
+        # penalty can leave them, cost 1e4 under c_sel = 0.01: the fit
+        # starts from its seeded draw instead and fits the cold bits.
+        data = generate(GeneratorConfig(n=300, d=2, seed=53))
+        reg = RegConfig(0.01, 0.01)
+        cold = fit_psychm(data, reg, ONE_START, seed=54)
+        init = cold.theta.copy()
+        init[:2] = (600.0, -800.0)
+        warm = fit_psychm(data, reg, ONE_START, seed=54, init=init)
+        assert warm.theta.tobytes() == cold.theta.tobytes()
+
+    def test_psychm_path_stays_out_of_degenerate_rates(self, monkeypatch):
+        # Trial 1 of `bench-synth --seed 20240801`, built as the runner
+        # builds it.  Carried up from the zero selection penalty, one
+        # fold's selection weights (norm 7,016) made the next cells start
+        # from a loss near 5e5, and their fits ended with lapse 1 and every
+        # row clamped.  With the former |.| rate map and the path walked
+        # down from the largest penalties, 21 of 75 ended at guess > 0.5.
+        seed = 20240801
+        data = generate(GeneratorConfig(seed=est._derive_seed(seed, 1, 0)))
+        train, _ = split(data, 0.5, seed=est._derive_seed(seed, 1, 1))
+        calls = recording_fits(monkeypatch)
+        cv_seed = est._derive_seed(est._derive_seed(seed, 1, 2, 1), 0)
+        select_hyperparams(train, ModelKind.PSYCHM, TrainingProtocol(), seed=cv_seed)
+        assert len(calls) == 75
+        assert max(max(c["model"].guess, c["model"].lapse) for c in calls) < 0.5
 
 
 class TestWrongTargetRegressions:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import puselect.optimize as opt
 from puselect.estimators import TrainingProtocol, fit_psychm
-from puselect.objective import RegConfig
+from puselect.models import ModelKind
+from puselect.objective import RegConfig, make_loss_functions, unconstrain_rates
 from puselect.optimize import NonFiniteError, OptimizerConfig, minimize
 from puselect.synth import GeneratorConfig, generate
 
@@ -95,7 +97,8 @@ def test_quadratic_converges_within_budget(dim):
         value, grad = _quadratic(matrix)
         cfg = OptimizerConfig(grad_tol=1e-8, max_iters=200)
         result = minimize(value, grad, 5.0 * rng.normal(size=dim), cfg)
-        assert result.converged
+        # The relative-decrease stop does not end these fits early.
+        assert result.converged and result.grad_norm <= 1e-8
         # The smallest eigenvalue is at least 1, so |x| <= |g|.
         assert np.linalg.norm(result.params) <= 1e-8
 
@@ -209,16 +212,86 @@ def test_accepted_steps_meet_strong_wolfe_conditions():
         x_prev = x_k
 
 
-def test_poorly_scaled_direction_reaches_the_line_minimum():
-    # On this fit the line minimum of some searches lies near step 1e-4.
-    # Clipping the cubic trial to the bracket's inner 80% shrinks the step
-    # tenfold per probe and reaches it: loss 295.63 after the full 150
-    # iterations.  Bisecting the bracket instead stalls after 76 at 296.61.
-    # (The fit sits on the kink of |lapse'|, so the loss at an earlier cap
-    # is set by round-off and tells the two searches apart no better.)
+def test_poorly_scaled_direction_reaches_the_line_minimum(monkeypatch):
+    # The gradient at the start has unit length, so the first probe is the
+    # unit step, but the line minimum lies at step 1e-4, and the strong
+    # curvature condition holds only within (1e-5, 1.9e-4).  Clipping each
+    # cubic trial to the bracket's inner 80% shrinks the step tenfold per
+    # probe and reaches it on the fifth probe.  Bisecting the bracket would
+    # need 13 halvings, more than the search's 10 probes.
+    value, grad = _pair(lambda w: float(5e3 * (w[0] - 1e-4) ** 2), lambda w: 1e4 * (w - 1e-4))
+    result = minimize(value, grad, np.zeros(1), OptimizerConfig(max_iters=1))
+    assert result.iterations == 1
+    np.testing.assert_allclose(result.params, [1e-4], rtol=1e-9)
+    monkeypatch.setattr(opt, "_cubic_step", lambda lo, hi: 0.5 * (lo[0] + hi[0]))
+    stalled = minimize(value, grad, np.zeros(1), OptimizerConfig(max_iters=1))
+    assert stalled.iterations == 0 and not stalled.converged
+
+
+def test_first_step_is_capped_in_length():
+    # Without curvature pairs the first probe moves the parameters at most
+    # opt._FIRST_STEP.  Here the gradient at the start has norm 1e5 and the
+    # minimum lies at that distance along it, so the capped probe lands on
+    # it.  A unit step would go 1e5 and need the line search to come back.
+    dist = opt._FIRST_STEP
+    calls = []
+
+    def value_and_grad(w):
+        calls.append(w.copy())
+        return float(5e3 * (w[0] - dist) ** 2), 1e4 * (w - dist)
+
+    result = minimize(None, value_and_grad, np.zeros(1), OptimizerConfig(max_iters=1))
+    assert result.iterations == 1 and len(calls) == 2
+    np.testing.assert_allclose(calls[1], [dist], rtol=1e-12)
+    np.testing.assert_allclose(result.params, [dist], rtol=1e-12)
+
+
+def test_psychm_fit_reaches_its_reference_loss():
+    # A one-start PsychM fit on generated data.  Under the former |.| rate
+    # map it ended at its 150-iteration cap at loss 295.63 with the cubic
+    # search and stalled at 296.61 with a bisecting one.  It now finishes
+    # by the relative-decrease stop at the same loss.
     data = generate(GeneratorConfig(n=1667, seed=302))
     model = fit_psychm(
         data, RegConfig(1.0, 0.1),
         TrainingProtocol(optimizer=OptimizerConfig(max_iters=150), n_starts=1), seed=2,
     )
+    assert model.diagnostics.converged
     assert model.diagnostics.loss <= 296.0
+
+
+def test_step_that_does_not_lower_the_loss_is_not_accepted():
+    # Every point within 1e-3 of the minimum rounds to the same loss, so
+    # the Armijo bound f + c1 * step * slope rounds to f and every probe
+    # ties it.  A tie is not an accepted step: the search stalls, and a
+    # stalled run is not converged, however small its gradient.
+    value, grad = _pair(lambda w: 1e20 + float(w @ w), lambda w: 2.0 * w)
+    result = minimize(value, grad, np.full(2, 1e-3), OptimizerConfig(max_iters=50))
+    assert result.iterations == 0
+    assert not result.converged
+    assert result.loss == 1e20
+
+
+# (model, evaluations at the former absolute-only stop, when the PsychM
+# rates went through the |.| map).  There the SPM fit stalled in a line
+# search after 45 iterations at gradient norm 1.1e-5, and the PsychM fit
+# hit its 150-iteration cap at gradient norm 5.0.  Now they stop after 31
+# and 39 iterations, with 36 and 43 evaluations.
+@pytest.mark.parametrize("kind, former_evaluations", [(ModelKind.SPM, 75), (ModelKind.PSYCHM, 186)])
+def test_fit_finishes_by_the_relative_decrease_stop(kind, former_evaluations):
+    data = generate(GeneratorConfig(n=1667, seed=1))
+    value, value_and_grad = make_loss_functions(data, kind, RegConfig(0.01, 0.01))
+    calls = []
+
+    def counting(theta):
+        calls.append(theta)
+        return value_and_grad(theta)
+
+    d = data.dim
+    rates = list(unconstrain_rates(0.7, 0.02)) if kind == ModelKind.PSYCHM else []
+    init = np.concatenate([np.full(d, 0.1), [0.0, *rates], np.full(d, -0.1), [0.0]])
+    cfg = OptimizerConfig()
+    result = minimize(value, counting, init, cfg)
+    assert result.converged and result.iterations < cfg.max_iters
+    assert result.grad_norm > cfg.grad_tol  # it was the relative-decrease stop
+    assert len(calls) < former_evaluations

@@ -291,9 +291,9 @@ class TestCliMain:
         ])
         assert code == 0
         payload = json.loads((tmp_path / "cli_out" / "aggregate.json").read_text())
-        # One final fit per model and resample, none of them at the tolerance.
+        # One final fit per model and resample, each stopped by its cap.
         assert payload["non_converged_fits"] == 2 * 2
-        assert "4 fits did not reach the gradient tolerance" in capsys.readouterr().err
+        assert "4 final fits did not converge" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         code = main(["bench-synth", "--trials", "0", *self._flags(tmp_path)])
@@ -319,6 +319,7 @@ class TestCliMain:
             (["--generator.rho2", "inf"], "rho2 must be finite and >= 0, got inf"),
             (["--generator.k", "nan"], "k must be finite and >= 0, got nan"),
             (["--generator.lapse", "nan"], "guess and lapse rates must be finite"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_invalid_value_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, flags, named):
