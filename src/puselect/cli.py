@@ -201,7 +201,7 @@ def main(argv=None) -> int:
             out_file = f"{cfg.output_dir}/fit_{kind.value}.json"
             fit_single(cfg, args.dataset_csv, kind, out_file)
             print(f"wrote {out_file}")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

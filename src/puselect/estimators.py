@@ -1,7 +1,8 @@
 """Model fitting: the two annotation-aware models, three baselines, and CV.
 
 Every fit is deterministic given (data, penalties, protocol, seed, init),
-and every fit starts through `_best_of_starts`.  The non-convex fits draw
+and every fit runs through `_fit`, which starts it by `_best_of_starts`
+and reads the model off the optimum by `unpack`.  The non-convex fits draw
 their weight initializations from per-start Philox streams; the convex
 logistic baselines run one start, from zero, so their seed argument is
 inert.  An ``init`` vector, the ``theta`` of an earlier fit of the same
@@ -19,7 +20,7 @@ import numpy as np
 from .data import Dataset, _derive_seed, _rng, split
 from .metrics import brier
 from .models import LinearParams, ModelKind, SpmParams, affine_sigmoid, psychometric
-from .objective import RegConfig, make_loss_functions, unconstrain_rates, unpack_psychm, unpack_spm
+from .objective import RegConfig, make_loss_functions, unconstrain_rates, unpack
 from .optimize import NonFiniteError, OptimResult, OptimizerConfig, minimize
 
 __all__ = [
@@ -105,13 +106,14 @@ class FittedModel:
         return h
 
     def annotation_probability(self, x) -> np.ndarray:
-        """Estimated p(l=1|x); equals the raw model output for the baselines."""
+        """Estimated p(l=1|x); equals the raw model output for the baselines.
+        SPM is the psychometric selection at rates (0, 0), where it is the
+        sigmoid bit for bit."""
         h = affine_sigmoid(x, self.target.w, self.target.b)
-        if self.kind == ModelKind.SPM:
-            return affine_sigmoid(x, self.selection.w, self.selection.b) * h
-        if self.kind == ModelKind.PSYCHM:
-            return psychometric(x, self.selection.w, self.selection.b, self.guess, self.lapse) * h
-        return h
+        if self.selection is None:
+            return h
+        sel = self.selection
+        return psychometric(x, sel.w, sel.b, self.guess or 0.0, self.lapse or 0.0) * h
 
 
 @dataclass(frozen=True)
@@ -138,16 +140,6 @@ class TrainingProtocol:
         """Optimizer for fold fits: the final fit's, capped at ``cv_max_iters``
         iterations; a cap at or above the final fit's budget leaves it as it is."""
         return replace(self.optimizer, max_iters=min(self.cv_max_iters, self.optimizer.max_iters))
-
-
-def _diag(result: OptimResult, notes: tuple[str, ...] = ()) -> FitDiagnostics:
-    return FitDiagnostics(
-        loss=result.loss,
-        grad_norm=result.grad_norm,
-        iterations=result.iterations,
-        converged=result.converged,
-        notes=notes,
-    )
 
 
 def _best_of_starts(data, kind, reg, protocol, seed, init) -> OptimResult:
@@ -187,64 +179,6 @@ def _best_of_starts(data, kind, reg, protocol, seed, init) -> OptimResult:
     return best
 
 
-# ---------------------------------------------------------------------------
-# Logistic regression (naive / oracle / Elkan's annotation model)
-
-
-def _fit_logistic(data, kind, reg, protocol, seed, init) -> FittedModel:
-    """The one-factor layout of the likelihood engine: a logistic regression
-    of l (y for the oracle) on x, penalized by ``reg.c_tgt``."""
-    result = _best_of_starts(data, kind, reg, protocol, seed, init)
-    target = LinearParams(w=result.params[:-1], b=result.params[-1])
-    return FittedModel(
-        kind=kind, target=target, diagnostics=_diag(result), reg=reg, theta=result.params
-    )
-
-
-def fit_naive(
-    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
-) -> FittedModel:
-    """Logistic regression of the annotation flag on x, unlabeled treated as negative.
-
-    The fit is convex, so the seed has no effect; it is accepted for
-    interface uniformity with the other fitting procedures.
-    """
-    if np.all(data.l == data.l[0]):
-        raise DegenerateDataError("annotation flags are all equal; nothing to fit")
-    return _fit_logistic(data, ModelKind.NAIVE, reg, protocol, seed, init)
-
-
-def fit_real_oracle(
-    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
-) -> FittedModel:
-    """Logistic regression on the ground-truth classes; an upper-bound reference."""
-    if data.y is None:
-        raise ValueError("oracle fit needs ground-truth classes y")
-    if np.all(data.y == data.y[0]):
-        raise DegenerateDataError("classes are all equal; nothing to fit")
-    return _fit_logistic(data, ModelKind.REAL_ORACLE, reg, protocol, seed, init)
-
-
-def fit_elkan(
-    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
-) -> FittedModel:
-    """Constant-propensity baseline: learn h(x) = p(l=1|x), then estimate the
-    labeling constant as the mean of h over the annotated holdout rows."""
-    train, holdout = split(data, 1.0 - _ELKAN_HOLDOUT, seed=_derive_seed(seed, 100))
-    if np.all(train.l == train.l[0]):
-        raise DegenerateDataError("training part has all-equal annotation flags")
-    labeled = holdout.l == 1
-    if not np.any(labeled):
-        raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")
-    model = _fit_logistic(train, ModelKind.ELKAN, reg, protocol, seed, init)
-    h = model.target
-    return replace(model, c_hat=float(np.mean(affine_sigmoid(holdout.x[labeled], h.w, h.b))))
-
-
-# ---------------------------------------------------------------------------
-# Annotation-process models
-
-
 def _assign_target_factor(params: SpmParams) -> SpmParams:
     """Resolve the factor-swap ambiguity of the sigmoid product.
 
@@ -258,23 +192,75 @@ def _assign_target_factor(params: SpmParams) -> SpmParams:
     return params
 
 
+def _fit(data, kind, reg, protocol, seed, init, notes=()) -> FittedModel:
+    """The model at the lowest-loss optimum of `_best_of_starts`, read off
+    by `unpack`; SPM's factors are then assigned by `_assign_target_factor`.
+    A non-converged optimizer is reported in the diagnostics, not raised."""
+    best = _best_of_starts(data, kind, reg, protocol, seed, init)
+    params = unpack(kind, best.params, data.dim)
+    if kind == ModelKind.SPM:
+        params = _assign_target_factor(params)
+    parts = vars(params) if kind in _TWO_FACTOR else {"target": params}
+    diagnostics = FitDiagnostics(best.loss, best.grad_norm, best.iterations, best.converged, notes)
+    return FittedModel(kind=kind, diagnostics=diagnostics, reg=reg, theta=best.params, **parts)
+
+
+# ---------------------------------------------------------------------------
+# Logistic regression (naive / oracle / Elkan's annotation model): the
+# one-factor layout, a regression of l (y for the oracle) on x, penalized
+# by ``reg.c_tgt``
+
+
+def fit_naive(
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
+) -> FittedModel:
+    """Logistic regression of the annotation flag on x, unlabeled treated as negative.
+
+    The fit is convex, so the seed has no effect; it is accepted for
+    interface uniformity with the other fitting procedures.
+    """
+    if np.all(data.l == data.l[0]):
+        raise DegenerateDataError("annotation flags are all equal; nothing to fit")
+    return _fit(data, ModelKind.NAIVE, reg, protocol, seed, init)
+
+
+def fit_real_oracle(
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
+) -> FittedModel:
+    """Logistic regression on the ground-truth classes; an upper-bound reference."""
+    if data.y is None:
+        raise ValueError("oracle fit needs ground-truth classes y")
+    if np.all(data.y == data.y[0]):
+        raise DegenerateDataError("classes are all equal; nothing to fit")
+    return _fit(data, ModelKind.REAL_ORACLE, reg, protocol, seed, init)
+
+
+def fit_elkan(
+    data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
+) -> FittedModel:
+    """Constant-propensity baseline: learn h(x) = p(l=1|x), then estimate the
+    labeling constant as the mean of h over the annotated holdout rows."""
+    train, holdout = split(data, 1.0 - _ELKAN_HOLDOUT, seed=_derive_seed(seed, 100))
+    if np.all(train.l == train.l[0]):
+        raise DegenerateDataError("training part has all-equal annotation flags")
+    labeled = holdout.l == 1
+    if not np.any(labeled):
+        raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")
+    model = _fit(train, ModelKind.ELKAN, reg, protocol, seed, init)
+    h = model.target
+    return replace(model, c_hat=float(np.mean(affine_sigmoid(holdout.x[labeled], h.w, h.b))))
+
+
+# ---------------------------------------------------------------------------
+# Annotation-process models
+
+
 def fit_spm(
     data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
 ) -> FittedModel:
-    """Maximum-likelihood fit of the sigmoid-product model.
-
-    A non-converged optimizer is reported in the diagnostics, not raised.
-    """
-    best = _best_of_starts(data, ModelKind.SPM, reg, protocol, seed, init)
-    ordered = _assign_target_factor(unpack_spm(best.params, data.dim))
-    return FittedModel(
-        kind=ModelKind.SPM,
-        target=ordered.target,
-        selection=ordered.selection,
-        diagnostics=_diag(best),
-        reg=reg,
-        theta=best.params,
-    )
+    """Maximum-likelihood fit of the sigmoid-product model; the steeper
+    factor is the classifier (`_assign_target_factor`)."""
+    return _fit(data, ModelKind.SPM, reg, protocol, seed, init)
 
 
 def fit_psychm(
@@ -283,20 +269,8 @@ def fit_psychm(
     """Maximum-likelihood fit of the psychometric model via the unconstrained
     rate surrogates, with seeded starts at the rates `_PSYCHM_INIT`; the
     target factor is the classifier directly."""
-    d = data.dim
-    best = _best_of_starts(data, ModelKind.PSYCHM, reg, protocol, seed, init)
-    params = unpack_psychm(best.params, d)
-    notes = ("selection rates are not identifiable with 1-dimensional features",) if d == 1 else ()
-    return FittedModel(
-        kind=ModelKind.PSYCHM,
-        target=params.target,
-        selection=params.selection,
-        guess=params.guess,
-        lapse=params.lapse,
-        diagnostics=_diag(best, notes),
-        reg=reg,
-        theta=best.params,
-    )
+    one_dim = ("selection rates are not identifiable with 1-dimensional features",)
+    return _fit(data, ModelKind.PSYCHM, reg, protocol, seed, init, one_dim if data.dim == 1 else ())
 
 
 # ---------------------------------------------------------------------------

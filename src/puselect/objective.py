@@ -52,6 +52,9 @@ The logistic baselines are the one-factor case, q(x) = t(x):
 with t's weights penalized by c_tgt and no selection or rate slots.  The
 naive baseline and Elkan's annotation model fit the flags l; the oracle
 fits the ground-truth classes y in their place.
+
+`unpack` is the one reader of these layouts: every fit turns its
+optimizer's vector into model parameters through it, whatever the kind.
 """
 
 from __future__ import annotations
@@ -70,8 +73,7 @@ __all__ = [
     "RegConfig",
     "constrain_rates",
     "unconstrain_rates",
-    "unpack_spm",
-    "unpack_psychm",
+    "unpack",
     "free_param_length",
     "conditional_log_likelihood",
     "loss",
@@ -147,27 +149,23 @@ def free_param_length(kind: ModelKind, dim: int) -> int:
     return factors * (dim + 1) + (2 if rates is None else 0)
 
 
-def unpack_spm(theta: np.ndarray, dim: int) -> SpmParams:
+def unpack(kind: ModelKind, theta: np.ndarray, dim: int) -> LinearParams | SpmParams | PsychmParams:
+    """The parameters a free-parameter vector of ``kind`` holds: the one
+    reader of the layouts above.  One factor gives its ``LinearParams``,
+    fixed rates an ``SpmParams`` and free rates a ``PsychmParams``."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2 * dim + 2,):
-        raise ValueError(f"expected {2 * dim + 2} free parameters, got {theta.shape}")
-    return SpmParams(
-        selection=LinearParams(w=theta[:dim], b=theta[dim]),
-        target=LinearParams(w=theta[dim + 1 : 2 * dim + 1], b=theta[2 * dim + 1]),
-    )
-
-
-def unpack_psychm(theta: np.ndarray, dim: int) -> PsychmParams:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2 * dim + 4,):
-        raise ValueError(f"expected {2 * dim + 4} free parameters, got {theta.shape}")
+    n_free = free_param_length(kind, dim)
+    if theta.shape != (n_free,):
+        raise ValueError(f"expected {n_free} free parameters, got {theta.shape}")
+    factors, rates, _ = _LAYOUTS[kind]
+    target = LinearParams(w=theta[-dim - 1 : -1], b=theta[-1])
+    if factors == 1:
+        return target
+    selection = LinearParams(w=theta[:dim], b=theta[dim])
+    if rates is not None:
+        return SpmParams(selection=selection, target=target)
     guess, lapse = constrain_rates(theta[dim + 1], theta[dim + 2])
-    return PsychmParams(
-        selection=LinearParams(w=theta[:dim], b=theta[dim]),
-        guess=guess,
-        lapse=lapse,
-        target=LinearParams(w=theta[dim + 3 : 2 * dim + 3], b=theta[2 * dim + 3]),
-    )
+    return PsychmParams(selection=selection, guess=guess, lapse=lapse, target=target)
 
 
 class _Engine:

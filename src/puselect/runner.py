@@ -204,14 +204,18 @@ def _report_rows(reports: list[MetricReport], provenance: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_outputs(out: Path, mode: str, cfg: ExperimentConfig, table: ResultTable, csv_name: str):
-    # The embedded provenance covers everything that determines the numbers;
-    # jobs and the output location are execution details with no influence
-    # on results, and leaving them out keeps reruns byte-identical whatever
-    # the parallelism or destination.
+def _config_json(cfg: ExperimentConfig) -> dict:
+    """The configuration every result file embeds.  It covers everything
+    that determines the numbers; jobs and the output location are execution
+    details with no influence on results, and leaving them out keeps reruns
+    byte-identical whatever the parallelism or destination."""
     cfg_json = _jsonable(cfg)
-    cfg_json.pop("jobs")
-    cfg_json.pop("output_dir")
+    del cfg_json["jobs"], cfg_json["output_dir"]
+    return cfg_json
+
+
+def _write_outputs(out: Path, mode: str, cfg: ExperimentConfig, table: ResultTable, csv_name: str):
+    cfg_json = _config_json(cfg)
     provenance = json.dumps({"mode": mode, "seed": cfg.seed, "config": cfg_json}, sort_keys=True)
     (out / csv_name).write_text(_report_rows(table.reports, provenance))
     payload = {
@@ -305,10 +309,10 @@ def bootstrap_evaluate(
 
 def run_real_benchmark(cfg: ExperimentConfig, dataset_path) -> ResultTable:
     """Bootstrap evaluation of a ground-truthed feature CSV."""
-    out = _check_writable(cfg.output_dir)
     data = read_csv(dataset_path)
     if data.y is None:
         raise ValueError(f"{dataset_path}: real benchmark needs a y column")
+    out = _check_writable(cfg.output_dir)
     reports = bootstrap_evaluate(data, cfg.models, cfg.resamples, cfg.protocol, cfg.seed, cfg.jobs)
     table = _aggregate(reports, cfg.models, cfg.quantile_rule)
     _write_outputs(out, "bench-real", cfg, table, "resamples.csv")
@@ -337,16 +341,11 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _model_params_json(params: FittedModel | PsychmParams) -> dict:
-    """Weights and rates of a fitted model or of a generator's ground truth."""
-    out = {"target": {"w": params.target.w.tolist(), "b": params.target.b}}
-    if params.selection is not None:
-        out["selection"] = {"w": params.selection.w.tolist(), "b": params.selection.b}
-    if params.guess is not None:
-        out["guess"] = params.guess
-        out["lapse"] = params.lapse
-    if getattr(params, "c_hat", None) is not None:
-        out["c_hat"] = params.c_hat
-    return out
+    """Weights and rates of a fitted model or of a generator's ground truth;
+    the fields a model does not have (None) are left out."""
+    names = ("target", "selection", "guess", "lapse", "c_hat")
+    fields = ((name, getattr(params, name, None)) for name in names)
+    return {name: _jsonable(value) for name, value in fields if value is not None}
 
 
 def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -> dict:
@@ -368,7 +367,7 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
         "mode": "fit",
         "model": kind.value,
         "seed": cfg.seed,
-        "config": _jsonable(cfg),
+        "config": _config_json(cfg),
         "params": _model_params_json(model),
         "penalties": {"c_sel": model.reg.c_sel, "c_tgt": model.reg.c_tgt},
         "diagnostics": _jsonable(model.diagnostics),

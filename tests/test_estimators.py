@@ -24,13 +24,15 @@ from puselect.models import (
     PsychmParams,
     SpmParams,
     affine_sigmoid,
+    psychm_posterior,
     sigmoid,
+    spm_posterior,
 )
 from puselect.objective import (
     RegConfig,
     loss,
     make_loss_functions,
-    unpack_spm,
+    unpack,
 )
 from puselect.optimize import OptimizerConfig, minimize
 from puselect.runner import bootstrap_evaluate
@@ -223,8 +225,12 @@ class TestFitSpm:
         w1, w2 = rng.normal(0, 0.1, 2), rng.normal(0, 0.1, 2)
         init = np.concatenate([w1, [0.0], w2, [0.0]])
         swapped = np.concatenate([w2, [0.0], w1, [0.0]])
-        a = est._assign_target_factor(unpack_spm(minimize(value, value_and_grad, init, opt).params, 2))
-        b = est._assign_target_factor(unpack_spm(minimize(value, value_and_grad, swapped, opt).params, 2))
+        a, b = (
+            est._assign_target_factor(
+                unpack(ModelKind.SPM, minimize(value, value_and_grad, start, opt).params, 2)
+            )
+            for start in (init, swapped)
+        )
         np.testing.assert_allclose(a.target.w, b.target.w, rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(a.selection.w, b.selection.w, rtol=1e-4, atol=1e-6)
 
@@ -296,6 +302,28 @@ class TestFitPsychm:
         protocol = TrainingProtocol(optimizer=OptimizerConfig(max_iters=50), n_starts=1)
         model = fit_psychm(Dataset(x=x, l=l), REG0, protocol, seed=30)
         assert any("identifiable" in note for note in model.diagnostics.notes)
+
+
+class TestAnnotationProbability:
+    @pytest.mark.parametrize("fit", [fit_naive, fit_real_oracle, fit_elkan, fit_spm, fit_psychm])
+    def test_matches_the_reference_bit_for_bit(self, fit):
+        # SPM and PsychM against the posterior of their own parameters, the
+        # naive and oracle baselines against their score, and Elkan against
+        # its annotation model h.
+        data = generate(GeneratorConfig(n=300, d=2, seed=4))
+        protocol = TrainingProtocol(optimizer=OptimizerConfig(max_iters=30), n_starts=1)
+        model = fit(data, RegConfig(0.1, 0.1), protocol)
+        sel, tgt = model.selection, model.target
+        if model.kind == ModelKind.SPM:
+            expected = spm_posterior(data.x, SpmParams(selection=sel, target=tgt))
+        elif model.kind == ModelKind.PSYCHM:
+            params = PsychmParams(selection=sel, guess=model.guess, lapse=model.lapse, target=tgt)
+            expected = psychm_posterior(data.x, params)
+        elif model.kind == ModelKind.ELKAN:
+            expected = affine_sigmoid(data.x, tgt.w, tgt.b)
+        else:
+            expected = model.score(data.x)
+        np.testing.assert_array_equal(model.annotation_probability(data.x), expected)
 
 
 class TestTrainingProtocol:

@@ -17,8 +17,7 @@ from puselect.objective import (
     loss_gradient,
     make_loss_functions,
     unconstrain_rates,
-    unpack_psychm,
-    unpack_spm,
+    unpack,
 )
 from puselect.optimize import _FTOL, OptimizerConfig, minimize
 
@@ -104,7 +103,7 @@ class TestRateReparameterization:
         data = _random_dataset(rng, n=30, d=2)
         theta = _random_theta(rng, ModelKind.PSYCHM, 2)
         theta[3:5] = surrogates
-        params = unpack_psychm(theta, 2)
+        params = unpack(ModelKind.PSYCHM, theta, 2)
         assert (params.guess, params.lapse) == (guess, lapse)
         value = loss(data, ModelKind.PSYCHM, theta, RegConfig())
         assert np.isfinite(value) and value == -conditional_log_likelihood(data, params)
@@ -119,7 +118,8 @@ class TestPacking:
             selection=LinearParams(w=rng.normal(size=4), b=0.3),
             target=LinearParams(w=rng.normal(size=4), b=-1.1),
         )
-        q = unpack_spm(np.concatenate([p.selection.w, [p.selection.b], p.target.w, [p.target.b]]), 4)
+        theta = np.concatenate([p.selection.w, [p.selection.b], p.target.w, [p.target.b]])
+        q = unpack(ModelKind.SPM, theta, 4)
         np.testing.assert_array_equal(q.selection.w, p.selection.w)
         np.testing.assert_array_equal(q.target.w, p.target.w)
         assert q.selection.b == p.selection.b and q.target.b == p.target.b
@@ -134,11 +134,40 @@ class TestPacking:
         )
         sel, tgt = p.selection, p.target
         theta = np.concatenate([sel.w, [sel.b, *unconstrain_rates(0.3, 0.15)], tgt.w, [tgt.b]])
-        q = unpack_psychm(theta, 3)
+        q = unpack(ModelKind.PSYCHM, theta, 3)
         assert abs(q.guess - 0.3) <= 1e-12 and abs(q.lapse - 0.15) <= 1e-12
         np.testing.assert_array_equal(q.selection.w, sel.w)
         np.testing.assert_array_equal(q.target.w, tgt.w)
         assert q.selection.b == sel.b and q.target.b == tgt.b
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_unpack_reads_every_layout(self, kind):
+        # Each vector is packed by hand; a wrong length is named with the
+        # count the layout expects.
+        rng = np.random.default_rng(6)
+        d = 3
+        sel_w, tgt_w = rng.normal(size=d), rng.normal(size=d)
+        surrogates = (-1.2, -2.5)
+        layout = {
+            ModelKind.SPM: [sel_w, [0.4], tgt_w, [-0.7]],
+            ModelKind.PSYCHM: [sel_w, [0.4], surrogates, tgt_w, [-0.7]],
+        }.get(kind, [tgt_w, [-0.7]])
+        theta = np.concatenate(layout)
+        params = unpack(kind, theta, d)
+        if kind in (ModelKind.SPM, ModelKind.PSYCHM):
+            assert isinstance(params, SpmParams if kind == ModelKind.SPM else PsychmParams)
+            np.testing.assert_array_equal(params.selection.w, sel_w)
+            assert params.selection.b == 0.4
+            target = params.target
+        else:
+            assert isinstance(params, LinearParams)
+            target = params
+        if kind == ModelKind.PSYCHM:
+            assert (params.guess, params.lapse) == constrain_rates(*surrogates)
+        np.testing.assert_array_equal(target.w, tgt_w)
+        assert target.b == -0.7
+        with pytest.raises(ValueError, match=f"expected {theta.size} free parameters"):
+            unpack(kind, np.append(theta, 0.0), d)
 
     def test_lengths(self):
         assert free_param_length(ModelKind.SPM, 5) == 12
@@ -171,7 +200,7 @@ class TestConditionalLogLikelihood:
         rng = np.random.default_rng(3)
         data = _random_dataset(rng, n=37, d=3)
         doubled = Dataset(x=np.vstack([data.x, data.x]), l=np.concatenate([data.l, data.l]))
-        p = unpack_spm(_random_theta(rng, ModelKind.SPM, 3), 3)
+        p = unpack(ModelKind.SPM, _random_theta(rng, ModelKind.SPM, 3), 3)
         one = conditional_log_likelihood(data, p)
         two = conditional_log_likelihood(doubled, p)
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-13)
@@ -181,7 +210,7 @@ class TestConditionalLogLikelihood:
         data = _random_dataset(rng, n=50, d=2)
         perm = rng.permutation(50)
         shuffled = Dataset(x=data.x[perm], l=data.l[perm])
-        p = unpack_psychm(_random_theta(rng, ModelKind.PSYCHM, 2), 2)
+        p = unpack(ModelKind.PSYCHM, _random_theta(rng, ModelKind.PSYCHM, 2), 2)
         np.testing.assert_allclose(
             conditional_log_likelihood(data, p),
             conditional_log_likelihood(shuffled, p),
@@ -218,7 +247,7 @@ class TestLoss:
         rng = np.random.default_rng(5)
         data = _random_dataset(rng, n=25, d=4)
         theta = _random_theta(rng, ModelKind.PSYCHM, 4)
-        params = unpack_psychm(theta, 4)
+        params = unpack(ModelKind.PSYCHM, theta, 4)
         assert loss(data, ModelKind.PSYCHM, theta, RegConfig()) == -conditional_log_likelihood(
             data, params
         )
@@ -248,7 +277,7 @@ class TestLoss:
             data = _random_dataset(rng, n=15, d=2)
             theta = _random_theta(rng, ModelKind.SPM, 2)
             reg = RegConfig(c_sel=float(rng.uniform(0, 3)), c_tgt=float(rng.uniform(0, 3)))
-            baseline = -conditional_log_likelihood(data, unpack_spm(theta, 2))
+            baseline = -conditional_log_likelihood(data, unpack(ModelKind.SPM, theta, 2))
             value = loss(data, ModelKind.SPM, theta, reg)
             assert value >= baseline
             penalty = value - baseline
@@ -267,7 +296,7 @@ class TestLoss:
             rng = np.random.default_rng(seed)
             data = _random_dataset(rng, n=40, d=2)
             theta = 0.5 * _random_theta(rng, ModelKind.SPM, 2)
-            params = unpack_spm(theta, 2)
+            params = unpack(ModelKind.SPM, theta, 2)
             s = sigmoid(data.x @ params.selection.w + params.selection.b)
             t = sigmoid(data.x @ params.target.w + params.target.b)
             q = s * t
@@ -426,8 +455,7 @@ def _plain_log_likelihood(data, kind, theta):
     """The observed-data log-likelihood written out per row, unclamped."""
     d = data.dim
     if kind in (ModelKind.SPM, ModelKind.PSYCHM):
-        unpack = unpack_spm if kind == ModelKind.SPM else unpack_psychm
-        params = unpack(theta, d)
+        params = unpack(kind, theta, d)
         guess, lapse = (params.guess, params.lapse) if kind == ModelKind.PSYCHM else (0.0, 0.0)
         sel, tgt = params.selection, params.target
         s = guess + (1.0 - guess - lapse) / (1.0 + np.exp(-(data.x @ sel.w + sel.b)))

@@ -154,6 +154,7 @@ class TestRunRealBenchmark:
         write_csv(no_y, csv_path)
         with pytest.raises(ValueError, match="y column"):
             run_real_benchmark(light_config(tmp_path), csv_path)
+        assert not (tmp_path / "out").exists()  # checked before the output directory is made
 
 
 class TestFitSingle:
@@ -299,6 +300,32 @@ class TestCliMain:
         code = main(["bench-synth", "--trials", "0", *self._flags(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bench-real", "{missing}"],
+            ["fit", "{missing}", "--model", "spm"],
+            ["bench-synth", "--config", "{missing}"],
+        ],
+    )
+    def test_missing_input_file_is_an_error_line(self, tmp_path, capsys, args):
+        missing = str(tmp_path / "nonexist")
+        code = main([a.format(missing=missing) for a in args] + self._flags(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err and "Traceback" not in err
+        assert not (tmp_path / "cli_out").exists()
+
+    def test_fit_json_independent_of_jobs_and_out(self, tmp_path, capsys):
+        csv_path = tmp_path / "gen.csv"
+        assert main(["generate", str(csv_path), *self._flags(tmp_path)]) == 0
+        written = []
+        for jobs, out in (("1", tmp_path / "a"), ("2", tmp_path / "b")):
+            flags = [*self._flags(tmp_path), "--jobs", jobs, "--out", str(out)]
+            assert main(["fit", str(csv_path), "--model", "naive", *flags]) == 0
+            written.append((out / "fit_naive.json").read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize(
         "flags, named",
