@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset, _derive_seed, _rng, split
 from .metrics import brier
 from .models import LinearParams, ModelKind, SpmParams, affine_sigmoid, psychometric
-from .objective import RegConfig, make_loss_functions, unconstrain_rates, unpack
+from .objective import RegConfig, label_column, make_loss_functions, unconstrain_rates, unpack
 from .optimize import NonFiniteError, OptimResult, OptimizerConfig, minimize
 
 __all__ = [
@@ -50,7 +50,7 @@ class DegenerateDataError(ValueError):
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Grid of (selection, target) penalty coefficients scored by Brier on (x, l)."""
+    """Grid of (selection, target) penalty coefficients scored by Brier against the fitted label."""
 
     folds: int = 3
     grid_sel: tuple[float, ...] = (0.0, 0.01, 0.1, 1.0, 10.0)
@@ -325,7 +325,7 @@ def _cv_path(cv: CvConfig, kind: ModelKind) -> list[tuple[tuple[int, ...], float
 def select_hyperparams(
     data: Dataset, kind: ModelKind, protocol: TrainingProtocol, seed: int = 0
 ) -> RegConfig:
-    """Pick penalty coefficients by k-fold CV Brier score of p(l|x) against l.
+    """Pick penalty coefficients by k-fold CV Brier score against the label ``kind`` fits.
 
     The grid and fold count are ``protocol.cv``.  Fold fits run one start
     each at ``protocol.cv_optimizer_for()``; restarts are reserved for the
@@ -344,6 +344,7 @@ def select_hyperparams(
     if data.n < cv.folds:
         raise ValueError(f"need at least {cv.folds} rows for {cv.folds}-fold CV")
     fold_protocol = replace(protocol, optimizer=protocol.cv_optimizer_for(), n_starts=1)
+    label = label_column(kind)
     perm = _rng(seed, 0).permutation(data.n)
     folds = np.array_split(perm, cv.folds)
     # (train, validation) per fold, built once for the whole grid.
@@ -363,7 +364,7 @@ def select_hyperparams(
                     train, kind, reg, fold_protocol, _derive_seed(seed, 1, *key, f), warm[f]
                 )
                 warm[f] = model.theta
-                scores.append(brier(model.annotation_probability(val.x), val.l))
+                scores.append(brier(model.annotation_probability(val.x), getattr(val, label)))
         except (DegenerateDataError, NonFiniteError):
             continue
         rank = (float(np.mean(scores)), -(c_sel + c_tgt), -c_tgt, -c_sel)

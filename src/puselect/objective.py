@@ -75,6 +75,7 @@ __all__ = [
     "unconstrain_rates",
     "unpack",
     "free_param_length",
+    "label_column",
     "conditional_log_likelihood",
     "loss",
     "loss_gradient",
@@ -147,6 +148,11 @@ _LAYOUTS = {
 def free_param_length(kind: ModelKind, dim: int) -> int:
     factors, rates, _ = _LAYOUTS[kind]
     return factors * (dim + 1) + (2 if rates is None else 0)
+
+
+def label_column(kind: ModelKind) -> str:
+    """The column of a `Dataset` that ``kind``'s likelihood fits: l, or y for the oracle."""
+    return _LAYOUTS[kind][2]
 
 
 def unpack(kind: ModelKind, theta: np.ndarray, dim: int) -> LinearParams | SpmParams | PsychmParams:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, _derive_seed, _rng, read_csv, split, write_csv
-from .estimators import FittedModel, TrainingProtocol, train_model
+from .estimators import TrainingProtocol, train_model
 from .metrics import (
     LOWER_IS_BETTER,
     METRIC_NAMES,
@@ -32,7 +32,7 @@ from .metrics import (
     score_report,
     significance_matrix,
 )
-from .models import ModelKind, PsychmParams
+from .models import ModelKind
 from .synth import GeneratorConfig, generate
 
 __all__ = [
@@ -99,34 +99,14 @@ class ResultTable:
     def mean(self, metric: str, model: ModelKind) -> float:
         return self.cells[metric][model].mean
 
-    def as_json_dict(self) -> dict:
-        return {
-            "results": {
-                metric: {
-                    kind.value: {
-                        "mean": cell.mean,
-                        "stderr": cell.stderr,
-                        "count": cell.count,
-                    }
-                    for kind, cell in sorted(by_model.items(), key=lambda kv: kv[0].value)
-                }
-                for metric, by_model in self.cells.items()
-            },
-            "significance": {
-                metric: None if matrix is None else matrix.as_json_dict()
-                for metric, matrix in self.significance.items()
-            },
-            "non_converged_fits": self.non_converged_fits,
-        }
-
-
 def _jsonable(obj):
+    """Plain JSON data: dataclasses as dicts, enums (dict keys too) by value, arrays as lists."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(_jsonable(k)): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -136,7 +116,14 @@ def _jsonable(obj):
     return obj
 
 
-def _check_writable(output_dir: str) -> Path:
+def _write_json(path: Path, payload: dict) -> dict:
+    """Write ``payload`` in the one format of every JSON result file; return the data written."""
+    payload = _jsonable(payload)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload
+
+
+def _check_writable(output_dir: str | Path) -> Path:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     probe = out / ".write-probe"
@@ -218,13 +205,16 @@ def _write_outputs(out: Path, mode: str, cfg: ExperimentConfig, table: ResultTab
     cfg_json = _config_json(cfg)
     provenance = json.dumps({"mode": mode, "seed": cfg.seed, "config": cfg_json}, sort_keys=True)
     (out / csv_name).write_text(_report_rows(table.reports, provenance))
+    significance = {m: None if s is None else s.as_json_dict() for m, s in table.significance.items()}
     payload = {
         "mode": mode,
         "seed": cfg.seed,
         "config": cfg_json,
-        **table.as_json_dict(),
+        "results": table.cells,
+        "significance": significance,
+        "non_converged_fits": table.non_converged_fits,
     }
-    (out / "aggregate.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "aggregate.json", payload)
 
 
 def _map_units(task, units: int, jobs: int) -> list:
@@ -325,11 +315,11 @@ def generate_dataset(cfg: ExperimentConfig, out_path) -> Dataset:
     data = generate(cfg.generator)
     write_csv(data, out_path)
     sidecar = {
-        "config": _jsonable(cfg.generator),
+        "config": cfg.generator,
         "seed": cfg.generator.seed,
-        "true_params": _model_params_json(data.true_params),
+        "true_params": data.true_params,
     }
-    out_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_json(out_path.with_suffix(".json"), sidecar)
     return data
 
 
@@ -340,22 +330,15 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def _model_params_json(params: FittedModel | PsychmParams) -> dict:
-    """Weights and rates of a fitted model or of a generator's ground truth;
-    the fields a model does not have (None) are left out."""
-    names = ("target", "selection", "guess", "lapse", "c_hat")
-    fields = ((name, getattr(params, name, None)) for name in names)
-    return {name: _jsonable(value) for name, value in fields if value is not None}
-
-
 def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -> dict:
     """Train one model on a full dataset CSV and dump parameters + diagnostics.
 
     If the dataset has a generator sidecar JSON next to it, the report adds
     the cosine similarity between fitted and true target weights.
     """
-    dataset_path = Path(dataset_path)
+    dataset_path, out_file = Path(dataset_path), Path(out_file)
     data = read_csv(dataset_path)
+    _check_writable(out_file.parent)
     model = train_model(data, kind, cfg.protocol, seed=cfg.seed)
 
     training = {"brier_annotation": brier(model.annotation_probability(data.x), data.l)}
@@ -363,14 +346,16 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
         rep = score_report(kind, 0, model.score(data.x), data.y)
         training.update({"f1": rep.f1, "accuracy": rep.accuracy, "auc": rep.auc, "brier": rep.brier})
 
+    # Weights and rates; the fields this kind of model does not have (None) are left out.
+    params = {n: getattr(model, n) for n in ("target", "selection", "guess", "lapse", "c_hat")}
     payload = {
         "mode": "fit",
         "model": kind.value,
         "seed": cfg.seed,
         "config": _config_json(cfg),
-        "params": _model_params_json(model),
-        "penalties": {"c_sel": model.reg.c_sel, "c_tgt": model.reg.c_tgt},
-        "diagnostics": _jsonable(model.diagnostics),
+        "params": {name: value for name, value in params.items() if value is not None},
+        "penalties": model.reg,
+        "diagnostics": model.diagnostics,
         "training_metrics": training,
     }
 
@@ -383,7 +368,4 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
                 "target_weight_cosine": _cosine(model.target.w, true_w),
             }
 
-    out_file = Path(out_file)
-    out_file.parent.mkdir(parents=True, exist_ok=True)
-    out_file.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+    return _write_json(out_file, payload)

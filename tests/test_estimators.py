@@ -427,6 +427,16 @@ class TestSelectHyperparams:
             wins += reg.c_tgt == 10.0
         assert wins >= 40
 
+    def test_oracle_scored_against_the_classes(self):
+        # The oracle fits y in the one-factor layout, so its CV must pick
+        # what the naive baseline picks on the same rows with y as the flags.
+        # Scored against l, the oracle picked the flattest fit, c_tgt = 10.
+        data = generate(GeneratorConfig(n=600, d=2, seed=0))
+        as_flags = Dataset(x=data.x, l=data.y, y=data.y)
+        reg = select_hyperparams(data, ModelKind.REAL_ORACLE, ONE_START, seed=0)
+        assert reg == select_hyperparams(as_flags, ModelKind.NAIVE, ONE_START, seed=0)
+        assert reg.c_tgt < max(ONE_START.cv.grid_tgt)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             CvConfig(grid_sel=(), grid_tgt=(0.1,))

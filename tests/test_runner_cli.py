@@ -2,16 +2,20 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from puselect.cli import CONFIG_KEYS, build_config, main, parse_config_file
 from puselect.data import read_csv
 from puselect.estimators import CvConfig, TrainingProtocol
+from puselect.metrics import METRIC_NAMES, MetricReport, PairTest, SignificanceMatrix
 from puselect.models import ModelKind
 from puselect import runner
 from puselect.optimize import OptimizerConfig
 from puselect.runner import (
+    CellStats,
     ExperimentConfig,
+    ResultTable,
     fit_single,
     generate_dataset,
     run_real_benchmark,
@@ -184,6 +188,42 @@ class TestFitSingle:
         assert "recovery" not in payload
 
 
+class TestAggregateJson:
+    def test_layout_key_by_key(self, tmp_path):
+        # Two models, two trials, AUC undefined for naive: built by hand, no fitting.
+        spm, naive = ModelKind.SPM, ModelKind.NAIVE
+        reports = [
+            MetricReport(kind, t, 0.5, 0.5, None if kind == naive else 0.5, 0.25, c_sel=0.0, c_tgt=0.0)
+            for t in range(2)
+            for kind in (spm, naive)
+        ]
+        defined, undefined = CellStats(0.5, 0.0, 2), CellStats(float("nan"), 0.0, 0)
+        cells = {m: {spm: defined, naive: undefined if m == "auc" else defined} for m in METRIC_NAMES}
+        pairs = {(spm, naive): PairTest(True, 0.125), (naive, spm): PairTest(False, -0.125)}
+        significance = {m: None if m == "auc" else SignificanceMatrix(0.05, pairs) for m in METRIC_NAMES}
+        table = ResultTable(cells=cells, significance=significance, reports=reports, non_converged_fits=3)
+        cfg = light_config(tmp_path, models=(spm, naive))
+        runner._write_outputs(tmp_path, "bench-synth", cfg, table, "trials.csv")
+        payload = json.loads((tmp_path / "aggregate.json").read_text())
+
+        assert set(payload) == {"mode", "seed", "config", "results", "significance", "non_converged_fits"}
+        assert (payload["mode"], payload["seed"], payload["non_converged_fits"]) == ("bench-synth", 5, 3)
+        assert set(payload["results"]) == set(METRIC_NAMES) == set(payload["significance"])
+        for metric in METRIC_NAMES:
+            by_model = payload["results"][metric]
+            assert by_model["spm"] == {"mean": 0.5, "stderr": 0.0, "count": 2}
+            assert set(by_model) == {"spm", "naive"}
+            assert set(by_model["naive"]) == {"mean", "stderr", "count"}
+        assert np.isnan(payload["results"]["auc"]["naive"]["mean"])
+        assert payload["results"]["auc"]["naive"]["count"] == 0
+        assert payload["results"]["f1"]["naive"] == {"mean": 0.5, "stderr": 0.0, "count": 2}
+        assert payload["significance"]["auc"] is None
+        assert payload["significance"]["f1"] == {
+            "spm_vs_naive": {"significant": True, "quantile_value": 0.125},
+            "naive_vs_spm": {"significant": False, "quantile_value": -0.125},
+        }
+
+
 class TestConfigFile:
     def test_parse_and_precedence(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -326,6 +366,20 @@ class TestCliMain:
             assert main(["fit", str(csv_path), "--model", "naive", *flags]) == 0
             written.append((out / "fit_naive.json").read_bytes())
         assert written[0] == written[1]
+
+    def test_fit_checks_its_output_before_training(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "gen.csv"
+        assert main(["generate", str(csv_path), *self._flags(tmp_path)]) == 0
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was trained before the output was checked")
+
+        monkeypatch.setattr(runner, "train_model", no_fit)
+        flags = [*self._flags(tmp_path), "--out", str(blocked / "sub")]
+        assert main(["fit", str(csv_path), "--model", "spm", *flags]) == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, named",
