@@ -8,6 +8,7 @@ annotation flag l and the optional ground-truth class y are 0/1 integers.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,43 +114,45 @@ def write_csv(data: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def read_csv(path) -> Dataset:
-    """Parse a dataset CSV; malformed content reports the offending line number."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _first_fault(path, width: int, d: int) -> str | None:
+    """Why Python's own parsers reject the rows: the first bad line, "no data rows", or None."""
+    with open(path) as fh:
+        rows = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row][1:]
+    for lineno, row in rows:
+        if len(row) != width:
+            return f"line {lineno}: expected {width} fields, got {len(row)}"
         try:
-            header = next(reader)
+            [float(v) for v in row[:d]] + [int(v) for v in row[d:]]
+        except ValueError:
+            return f"line {lineno}: unparseable value"
+    return None if rows else "no data rows"
+
+
+def read_csv(path) -> Dataset:
+    """Parse a dataset CSV; malformed content reports the offending line number.
+
+    numpy's C loader parses the rows, flags as integers; if it refuses them,
+    a rescan with Python's parsers names the first bad line."""
+    with open(path) as fh:
+        try:
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
         has_y = header[-1] == "y"
-        feat_names = header[:-2] if has_y else header[:-1]
-        d = len(feat_names)
+        d = len(header) - 1 - has_y
         expected = [f"f{j}" for j in range(d)] + ["l"] + (["y"] if has_y else [])
         if d < 1 or header != expected:
             raise ValueError(
                 f"{path}: line 1: expected header f0,...,f{{d-1}},l[,y], got {','.join(header)}"
             )
-        xs, ls, ys = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                xs.append([float(v) for v in row[:d]])
-                ls.append(int(row[d]))
-                if has_y:
-                    ys.append(int(row[d + 1]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: unparseable value") from None
-    if not xs:
-        raise ValueError(f"{path}: no data rows")
+        dtype = [("x", float, (d,)), ("l", np.int64)] + [("y", np.int64)] * has_y
+        try:
+            with warnings.catch_warnings():  # numpy warns on no rows, old numpy on "1.0" as int
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except (ValueError, Warning) as exc:
+            raise ValueError(f"{path}: {_first_fault(path, len(header), d) or exc}") from None
     try:
-        return Dataset(
-            x=np.asarray(xs), l=np.asarray(ls), y=np.asarray(ys) if has_y else None
-        )
+        return Dataset(np.ascontiguousarray(rows["x"]), rows["l"], rows["y"] if has_y else None)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -338,11 +338,15 @@ def select_hyperparams(
     fitted once per target penalty, at the largest selection penalty, the
     cell that tie-break picks.  A cell whose fold fit hits degenerate data
     or a non-finite loss is failed and never selected; if every cell fails,
-    a ValueError names the model.
+    a ValueError names the model.  A one-cell path is returned without
+    fold fits, so it cannot fail.
     """
     cv = protocol.cv
     if data.n < cv.folds:
         raise ValueError(f"need at least {cv.folds} rows for {cv.folds}-fold CV")
+    path = _cv_path(cv, kind)
+    if len(path) == 1:
+        return RegConfig(*path[0][1:])
     fold_protocol = replace(protocol, optimizer=protocol.cv_optimizer_for(), n_starts=1)
     label = label_column(kind)
     perm = _rng(seed, 0).permutation(data.n)
@@ -355,7 +359,7 @@ def select_hyperparams(
 
     warm = [None] * cv.folds  # per fold: the free parameters of its last successful fit
     best = None
-    for key, c_sel, c_tgt in _cv_path(cv, kind):
+    for key, c_sel, c_tgt in path:
         reg = RegConfig(c_sel=c_sel, c_tgt=c_tgt)
         scores = []
         try:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -33,6 +31,7 @@ from .metrics import (
     significance_matrix,
 )
 from .models import ModelKind
+from .objective import label_column
 from .synth import GeneratorConfig, generate
 
 __all__ = [
@@ -222,11 +221,14 @@ def _map_units(task, units: int, jobs: int) -> list:
     processes, inline when that is one; results come back in unit order.
 
     Workers are spawned, not forked, so they start from a fresh import and
-    inherit no threads or locks of the caller; ``task`` must pickle.
+    inherit no threads or locks of the caller; ``task`` must pickle.  The
+    pool modules are imported here, so an inline call never loads them.
     """
     workers = min(jobs, units)
     if workers == 1:
         return [task(u) for u in range(units)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(task, range(units)))
@@ -341,7 +343,8 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
     _check_writable(out_file.parent)
     model = train_model(data, kind, cfg.protocol, seed=cfg.seed)
 
-    training = {"brier_annotation": brier(model.annotation_probability(data.x), data.l)}
+    label = getattr(data, label_column(kind))
+    training = {"brier_annotation": brier(model.annotation_probability(data.x), label)}
     if data.y is not None:
         rep = score_report(kind, 0, model.score(data.x), data.y)
         training.update({"f1": rep.f1, "accuracy": rep.accuracy, "auc": rep.auc, "brier": rep.brier})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,45 @@ class TestCsv:
         path.write_text("f0,l\n1.0,0\nxyz,1\n")
         with pytest.raises(ValueError, match="line 3"):
             read_csv(path)
+
+    # What read_csv accepts and rejects: a file's content, then the rows it
+    # reads as (x..., l[, y]) or the message that follows "<path>: ".
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("f0,l\r\n1.5,0\r\n2.5,1\r\n", [(1.5, 0), (2.5, 1)], id="crlf"),
+        pytest.param("f0,l\n1.5,0\n\n2.5,1\n", [(1.5, 0), (2.5, 1)], id="blank-line"),
+        pytest.param('f0,l\n"1.5",0\n', [(1.5, 0)], id="quoted"),
+        pytest.param(" f0 , l \n 1.5 , 1 \n", [(1.5, 1)], id="spaces"),
+        pytest.param("f0,l,y\n1.5,0,1", [(1.5, 0, 1)], id="no-final-newline"),
+        pytest.param("f0,l\n1.5,1.0\n", "line 2: unparseable value", id="float-flag"),
+        pytest.param("f0,l\n#1.5,0\n", "line 2: unparseable value", id="hash"),
+        pytest.param("f0,l\n1.5,0,\n", "line 2: expected 2 fields, got 3", id="trailing-comma"),
+        pytest.param("f0,l\n", "no data rows", id="header-only"),
+        pytest.param("f0,l\nnan,0\n", "x must be finite", id="nan"),
+        pytest.param("f0,l,y\n1.5,0,2\n", "y must be binary", id="y-2"),
+    ])
+    def test_accepts_and_rejects(self, tmp_path, text, expected):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())  # line ends as given
+        # Under the default filters too, not only the test run's "error":
+        # a warning must neither escape nor change the outcome.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                data = read_csv(path)
+            except ValueError as exc:
+                assert str(exc) == f"{path}: {expected}"
+            else:
+                flags = [data.l] + ([] if data.y is None else [data.y])
+                assert np.column_stack([data.x] + flags).tolist() == [list(r) for r in expected]
+        assert caught == []
+
+    def test_roundtrip_bitwise_large(self, tmp_path):
+        data = generate(GeneratorConfig(n=10_000, seed=13))
+        path = tmp_path / "data.csv"
+        write_csv(data, path)
+        back = read_csv(path)
+        assert back.x.tobytes() == data.x.tobytes() and back.x.flags.c_contiguous
+        assert back.l.tobytes() == data.l.tobytes() and back.y.tobytes() == data.y.tobytes()
 
     def test_nfp_violation_rejected_on_read(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -353,7 +353,7 @@ class TestTrainingProtocol:
 
     def test_fold_budget_is_the_protocol_cap(self, monkeypatch):
         data = generate(GeneratorConfig(n=120, d=2, seed=43))
-        protocol = TrainingProtocol(cv=CvConfig(folds=2, grid_sel=(0.0,), grid_tgt=(0.1,)))
+        protocol = TrainingProtocol(cv=CvConfig(folds=2, grid_sel=(0.0,), grid_tgt=(0.1, 1.0)))
         seen = []
         original = est._fit_kind
 
@@ -363,12 +363,12 @@ class TestTrainingProtocol:
 
         monkeypatch.setattr(est, "_fit_kind", recording)
         train_model(data, ModelKind.SPM, protocol, seed=44)
-        assert seen == [(66, 1), (66, 1), (150, 3)]
+        assert seen == [(66, 1)] * 4 + [(150, 3)]  # 2 cells x 2 folds, then the final fit
         # A cap at or above the final fit's budget gives the fold fits that budget.
         for cap in (150, 500):
             seen.clear()
             train_model(data, ModelKind.SPM, replace(protocol, cv_max_iters=cap), seed=44)
-            assert seen == [(150, 1), (150, 1), (150, 3)]
+            assert seen == [(150, 1)] * 4 + [(150, 3)]
 
 
 def full_budget(cv):
@@ -388,9 +388,13 @@ class TestSelectHyperparams:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(est, "_fit_kind", counting)
-        reg = select_hyperparams(data, ModelKind.NAIVE, full_budget(cv), seed=32)
-        assert (reg.c_sel, reg.c_tgt) == (0.5, 0.25)
-        assert len(calls) == cv.folds
+        for kind in (ModelKind.NAIVE, ModelKind.SPM, ModelKind.PSYCHM):
+            reg = select_hyperparams(data, kind, full_budget(cv), seed=32)
+            assert (reg.c_sel, reg.c_tgt) == (0.5, 0.25)
+        assert calls == []  # one cell has nothing to choose between: no fold fits
+        # The input checks still come first.
+        with pytest.raises(ValueError, match="at least 3 rows"):
+            select_hyperparams(data.subset([0, 1]), ModelKind.NAIVE, full_budget(cv), seed=32)
 
     def test_inert_selection_axis_deduplicated(self, monkeypatch):
         data = generate(GeneratorConfig(n=120, d=2, seed=33))
@@ -491,6 +495,10 @@ class TestSelectHyperparams:
         cv = CvConfig(folds=3, grid_sel=(0.0,), grid_tgt=(0.0, 1.0))
         with pytest.raises(ValueError, match="elkan"):
             select_hyperparams(data, ModelKind.ELKAN, full_budget(cv), seed=42)
+        # One cell is returned without fold fits, so it cannot fail.
+        one_cell = replace(cv, grid_tgt=(1.0,))
+        reg = select_hyperparams(data, ModelKind.ELKAN, full_budget(one_cell), seed=42)
+        assert (reg.c_sel, reg.c_tgt) == (0.0, 1.0)
 
 
 def recording_fits(monkeypatch):
@@ -538,13 +546,15 @@ class TestRegularizationPath:
                     assert call["init"] is prev["model"].theta
 
     @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM])
-    def test_one_cell_grid_fits_the_cold_start_bits(self, monkeypatch, kind):
+    def test_first_cell_fits_the_cold_start_bits(self, monkeypatch, kind):
         data = generate(GeneratorConfig(n=150, d=2, seed=49))
-        protocol = TrainingProtocol(cv=CvConfig(folds=2, grid_sel=(0.01,), grid_tgt=(0.01,)))
+        protocol = TrainingProtocol(cv=CvConfig(folds=2, grid_sel=(0.01,), grid_tgt=(0.01, 0.1)))
         calls = recording_fits(monkeypatch)
         select_hyperparams(data, kind, protocol, seed=50)
-        fold_calls = list(calls)
-        assert len(fold_calls) == 2
+        assert len(calls) == 4
+        first_cell = calls[0]["reg"]
+        fold_calls = [c for c in calls if c["reg"] == first_cell]
+        assert len(fold_calls) == 2 and {c["fold"] for c in fold_calls} == {0, 1}
         for c in fold_calls:
             assert c["init"] is None
             cold = est._fit_kind(c["data"], kind, c["reg"], c["protocol"], c["seed"])

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +85,17 @@ class TestRunSynthBenchmark:
         def no_pool(*args, **kwargs):
             raise AssertionError("a single trial must not start worker processes")
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        # _map_units imports the pool class from its module when it starts workers.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         run_synth_benchmark(light_config(tmp_path, trials=1, jobs=4))
+
+    def test_cli_import_loads_no_pool_modules(self):
+        # A --jobs 1 call never starts workers, so it never pays for the pool imports.
+        code = "import sys, puselect.cli; print(*(m in sys.modules for m in sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).parents[1])}
+        argv = [sys.executable, "-c", code, "multiprocessing", "concurrent.futures"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout.split()) == (0, ["False", "False"]), out.stderr
 
     def test_aggregate_embeds_config_and_seed(self, tmp_path):
         cfg = light_config(tmp_path)
@@ -178,6 +190,16 @@ class TestFitSingle:
         assert "recovery" in payload  # sidecar present next to the CSV
         assert -1.0 <= payload["recovery"]["target_weight_cosine"] <= 1.0
         assert json.loads(out_file.read_text()) == payload
+
+    def test_oracle_annotation_brier_scored_against_the_classes(self, tmp_path):
+        # The oracle's annotation probability is p(y|x): scored against y, the
+        # column it fits, it is the class Brier.
+        cfg = light_config(tmp_path)
+        csv_path = tmp_path / "data.csv"
+        generate_dataset(cfg, csv_path)
+        payload = fit_single(cfg, csv_path, ModelKind.REAL_ORACLE, tmp_path / "fit.json")
+        training = payload["training_metrics"]
+        assert training["brier_annotation"] == training["brier"]
 
     def test_no_sidecar_no_recovery(self, tmp_path):
         cfg = light_config(tmp_path)
