@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .estimators import CvConfig, TrainingProtocol
 from .models import ModelKind
-from .optimize import OptimizerConfig
 from .runner import (
     ExperimentConfig,
     fit_single,
@@ -27,7 +25,7 @@ from .runner import (
     run_real_benchmark,
     run_synth_benchmark,
 )
-from .synth import GeneratorConfig, XDist
+from .synth import XDist
 
 __all__ = ["main", "build_config", "parse_config_file", "CONFIG_KEYS"]
 
@@ -40,37 +38,32 @@ def _parse_models(v: str) -> tuple[ModelKind, ...]:
     return tuple(ModelKind(p.strip()) for p in v.split(",") if p.strip() != "")
 
 
-_EXPERIMENT = ExperimentConfig()
-_GENERATOR = GeneratorConfig()
-_CV = CvConfig()
-_PROTOCOL = TrainingProtocol()
-
-# key -> (parser, default).  Defaults are read from the config dataclasses,
-# so they live in one place; the resolved mapping is assembled back into
-# the dataclasses by build_config.
+# key -> (parser, path of the ExperimentConfig field it sets[, another]).
+# A key's default is its field's default, and ``seed`` also seeds the
+# generator.  This table is the one place where a key meets its field.
 CONFIG_KEYS: dict = {
-    "seed": (int, _EXPERIMENT.seed),
-    "trials": (int, _EXPERIMENT.trials),
-    "jobs": (int, _EXPERIMENT.jobs),
-    "out": (str, _EXPERIMENT.output_dir),
-    "models": (_parse_models, _EXPERIMENT.models),
-    "quantile_rule": (float, _EXPERIMENT.quantile_rule),
-    "resamples": (int, _EXPERIMENT.resamples),
-    "generator.n": (int, _GENERATOR.n),
-    "generator.d": (int, _GENERATOR.d),
-    "generator.rho1": (float, _GENERATOR.rho1),
-    "generator.rho2": (float, _GENERATOR.rho2),
-    "generator.k": (float, _GENERATOR.k),
-    "generator.guess": (float, _GENERATOR.guess),
-    "generator.lapse": (float, _GENERATOR.lapse),
-    "generator.x_dist": (XDist, _GENERATOR.x_dist),
-    "cv.folds": (int, _CV.folds),
-    "cv.grid_sel": (_parse_floats, _CV.grid_sel),
-    "cv.grid_tgt": (_parse_floats, _CV.grid_tgt),
-    "cv.max_iters": (int, _PROTOCOL.cv_max_iters),
-    "optimizer.max_iters": (int, _PROTOCOL.optimizer.max_iters),
-    "optimizer.grad_tol": (float, _PROTOCOL.optimizer.grad_tol),
-    "fit.n_starts": (int, _PROTOCOL.n_starts),
+    "seed": (int, "seed", "generator.seed"),
+    "trials": (int, "trials"),
+    "jobs": (int, "jobs"),
+    "out": (str, "output_dir"),
+    "models": (_parse_models, "models"),
+    "quantile_rule": (float, "quantile_rule"),
+    "resamples": (int, "resamples"),
+    "generator.n": (int, "generator.n"),
+    "generator.d": (int, "generator.d"),
+    "generator.rho1": (float, "generator.rho1"),
+    "generator.rho2": (float, "generator.rho2"),
+    "generator.k": (float, "generator.k"),
+    "generator.guess": (float, "generator.guess"),
+    "generator.lapse": (float, "generator.lapse"),
+    "generator.x_dist": (XDist, "generator.x_dist"),
+    "cv.folds": (int, "protocol.cv.folds"),
+    "cv.grid_sel": (_parse_floats, "protocol.cv.grid_sel"),
+    "cv.grid_tgt": (_parse_floats, "protocol.cv.grid_tgt"),
+    "cv.max_iters": (int, "protocol.cv_max_iters"),
+    "optimizer.max_iters": (int, "protocol.optimizer.max_iters"),
+    "optimizer.grad_tol": (float, "protocol.optimizer.grad_tol"),
+    "fit.n_starts": (int, "protocol.n_starts"),
 }
 
 
@@ -91,52 +84,33 @@ def parse_config_file(path) -> dict:
     return raw
 
 
-def _resolve(raw: dict) -> dict:
-    resolved = {}
-    for key, (parser, default) in CONFIG_KEYS.items():
-        value = raw.get(key, default)
-        if isinstance(value, str):
-            try:
-                value = parser(value)
-            except ValueError as exc:
-                raise ValueError(f"config key {key}: {exc}") from None
-        resolved[key] = value
-    return resolved
+def _replaced(obj, changes: dict):
+    """``obj`` with the fields of ``changes`` set.  Each nested config is
+    rebuilt in one call, so that its checks see all of its new values together."""
+    from dataclasses import replace
+
+    nested = {n: _replaced(getattr(obj, n), v) for n, v in changes.items() if isinstance(v, dict)}
+    return replace(obj, **{**changes, **nested})
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    """Assemble the experiment configuration from a raw key=value mapping."""
-    r = _resolve(raw)
-    generator = GeneratorConfig(
-        n=r["generator.n"],
-        d=r["generator.d"],
-        rho1=r["generator.rho1"],
-        rho2=r["generator.rho2"],
-        k=r["generator.k"],
-        guess=r["generator.guess"],
-        lapse=r["generator.lapse"],
-        x_dist=r["generator.x_dist"],
-        seed=r["seed"],
-    )
-    protocol = TrainingProtocol(
-        cv=CvConfig(folds=r["cv.folds"], grid_sel=r["cv.grid_sel"], grid_tgt=r["cv.grid_tgt"]),
-        optimizer=OptimizerConfig(
-            max_iters=r["optimizer.max_iters"], grad_tol=r["optimizer.grad_tol"]
-        ),
-        cv_max_iters=r["cv.max_iters"],
-        n_starts=r["fit.n_starts"],
-    )
-    return ExperimentConfig(
-        generator=generator,
-        protocol=protocol,
-        models=r["models"],
-        trials=r["trials"],
-        resamples=r["resamples"],
-        quantile_rule=r["quantile_rule"],
-        seed=r["seed"],
-        jobs=r["jobs"],
-        output_dir=r["out"],
-    )
+    """Assemble the experiment configuration from a raw key=value mapping: each
+    given key sets the fields its CONFIG_KEYS paths name on ``ExperimentConfig()``."""
+    changes: dict = {}
+    for key, (parser, *paths) in CONFIG_KEYS.items():
+        if key not in raw:
+            continue
+        try:
+            value = parser(raw[key])
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
+        for path in paths:
+            *outer, name = path.split(".")
+            node = changes
+            for part in outer:
+                node = node.setdefault(part, {})
+            node[name] = value
+    return _replaced(ExperimentConfig(), changes)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:

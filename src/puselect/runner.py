@@ -314,6 +314,8 @@ def run_real_benchmark(cfg: ExperimentConfig, dataset_path) -> ResultTable:
 def generate_dataset(cfg: ExperimentConfig, out_path) -> Dataset:
     """Write a synthetic dataset CSV plus a sidecar JSON with the ground truth."""
     out_path = Path(out_path)
+    if out_path.suffix == ".json":
+        raise ValueError(f"{out_path}: the dataset CSV must not end in .json, its sidecar's suffix")
     data = generate(cfg.generator)
     write_csv(data, out_path)
     sidecar = {
@@ -323,6 +325,19 @@ def generate_dataset(cfg: ExperimentConfig, out_path) -> Dataset:
     }
     _write_json(out_path.with_suffix(".json"), sidecar)
     return data
+
+
+def _true_target_weights(dataset_path: Path) -> np.ndarray | None:
+    """The true target weights in the generator sidecar next to a dataset CSV;
+    None when there is no sidecar, and an error when the file is not one."""
+    sidecar = dataset_path.with_suffix(".json")
+    if not sidecar.exists():
+        return None
+    try:
+        truth = json.loads(sidecar.read_text())
+        return np.asarray(truth["true_params"]["target"]["w"], dtype=float)
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ValueError(f"{sidecar}: no true_params.target.w of a generator sidecar: {exc}") from None
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -336,10 +351,12 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
     """Train one model on a full dataset CSV and dump parameters + diagnostics.
 
     If the dataset has a generator sidecar JSON next to it, the report adds
-    the cosine similarity between fitted and true target weights.
+    the cosine similarity between fitted and true target weights; a JSON
+    there that is not a sidecar is an error, raised before any fit.
     """
     dataset_path, out_file = Path(dataset_path), Path(out_file)
     data = read_csv(dataset_path)
+    true_w = _true_target_weights(dataset_path)
     _check_writable(out_file.parent)
     model = train_model(data, kind, cfg.protocol, seed=cfg.seed)
 
@@ -362,13 +379,7 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
         "training_metrics": training,
     }
 
-    sidecar = dataset_path.with_suffix(".json")
-    if sidecar.exists():
-        truth = json.loads(sidecar.read_text())
-        true_w = np.asarray(truth["true_params"]["target"]["w"], dtype=float)
-        if true_w.size == model.target.w.size:
-            payload["recovery"] = {
-                "target_weight_cosine": _cosine(model.target.w, true_w),
-            }
+    if true_w is not None and true_w.size == model.target.w.size:
+        payload["recovery"] = {"target_weight_cosine": _cosine(model.target.w, true_w)}
 
     return _write_json(out_file, payload)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import os
 import re
@@ -291,8 +293,52 @@ class TestConfigFile:
         rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", readme, flags=re.MULTILINE)
         assert [key for key, _ in rows] == list(CONFIG_KEYS)
         for key, default in rows:
-            parser, expected = CONFIG_KEYS[key]
+            parser, path = CONFIG_KEYS[key][:2]
+            expected = functools.reduce(getattr, path.split("."), ExperimentConfig())
             assert parser(default) == expected, key
+
+    # key -> (a value other than its default, the ExperimentConfig fields it sets)
+    KEY_FIELDS = {
+        "seed": ("7", {"seed", "generator.seed"}),
+        "trials": ("9", {"trials"}),
+        "jobs": ("2", {"jobs"}),
+        "out": ("elsewhere", {"output_dir"}),
+        "models": ("psychm,spm", {"models"}),
+        "quantile_rule": ("0.1", {"quantile_rule"}),
+        "resamples": ("11", {"resamples"}),
+        "generator.n": ("123", {"generator.n"}),
+        "generator.d": ("4", {"generator.d"}),
+        "generator.rho1": ("2.5", {"generator.rho1"}),
+        "generator.rho2": ("0.5", {"generator.rho2"}),
+        "generator.k": ("1.5", {"generator.k"}),
+        "generator.guess": ("0.1", {"generator.guess"}),
+        "generator.lapse": ("0.2", {"generator.lapse"}),
+        "generator.x_dist": ("uniform", {"generator.x_dist"}),
+        "cv.folds": ("4", {"protocol.cv.folds"}),
+        "cv.grid_sel": ("0,1", {"protocol.cv.grid_sel"}),
+        "cv.grid_tgt": ("0.5", {"protocol.cv.grid_tgt"}),
+        "cv.max_iters": ("40", {"protocol.cv_max_iters"}),
+        "optimizer.max_iters": ("99", {"protocol.optimizer.max_iters"}),
+        "optimizer.grad_tol": ("1e-4", {"protocol.optimizer.grad_tol"}),
+        "fit.n_starts": ("2", {"protocol.n_starts"}),
+    }
+
+    @staticmethod
+    def _fields(cfg, prefix=""):
+        flat = {}
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            if dataclasses.is_dataclass(value):
+                flat.update(TestConfigFile._fields(value, f"{prefix}{f.name}."))
+            else:
+                flat[prefix + f.name] = value
+        return flat
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_each_key_sets_exactly_its_own_field(self, key):
+        value, fields = self.KEY_FIELDS[key]
+        default, cfg = self._fields(ExperimentConfig()), self._fields(build_config({key: value}))
+        assert {name for name in default if cfg[name] != default[name]} == fields
 
     def test_defaults_are_the_dataclass_defaults(self):
         # The CLI and library callers share one source of defaults.
@@ -402,6 +448,30 @@ class TestCliMain:
         flags = [*self._flags(tmp_path), "--out", str(blocked / "sub")]
         assert main(["fit", str(csv_path), "--model", "spm", *flags]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ['{"source": "lab notebook"}', "not json"])
+    def test_fit_rejects_a_json_beside_the_csv_before_training(
+        self, tmp_path, capsys, monkeypatch, content
+    ):
+        csv_path = tmp_path / "d.csv"
+        assert main(["generate", str(csv_path), *self._flags(tmp_path)]) == 0
+        (tmp_path / "d.json").write_text(content)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was trained before the sidecar was checked")
+
+        monkeypatch.setattr(runner, "train_model", no_fit)
+        capsys.readouterr()
+        assert main(["fit", str(csv_path), "--model", "naive", *self._flags(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d.json" in err and "Traceback" not in err
+        assert not (tmp_path / "cli_out").exists()
+
+    def test_generate_rejects_a_json_dataset_path(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["generate", str(out), *self._flags(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, named",
