@@ -68,7 +68,7 @@ CONFIG_KEYS: dict = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment; unknown keys are errors."""
+    """Flat key=value lines; '#' starts a comment; unknown and repeated keys are errors."""
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -80,6 +80,8 @@ def parse_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in raw:
+                raise ValueError(f"{path}: line {lineno}: repeated key {key!r}")
             raw[key] = value
     return raw
 
@@ -95,13 +97,15 @@ def _replaced(obj, changes: dict):
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Assemble the experiment configuration from a raw key=value mapping: each
-    given key sets the fields its CONFIG_KEYS paths name on ``ExperimentConfig()``."""
+    given key sets the fields its CONFIG_KEYS paths name on ``ExperimentConfig()``,
+    and a key that is not in CONFIG_KEYS is an error."""
     changes: dict = {}
-    for key, (parser, *paths) in CONFIG_KEYS.items():
-        if key not in raw:
-            continue
+    for key, text in raw.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        parser, *paths = CONFIG_KEYS[key]
         try:
-            value = parser(raw[key])
+            value = parser(text)
         except ValueError as exc:
             raise ValueError(f"config key {key}: {exc}") from None
         for path in paths:

@@ -191,8 +191,8 @@ class _Engine:
     and (1, -1) otherwise: exactly q or 1 - q.  The
     rows of x are kept transposed with a row of ones appended, so one
     matmul forms every factor's affine score, bias included, and one more
-    gives all weight and bias gradients.  `value` and `value_and_grad`
-    share one forward pass, so they agree bit for bit.
+    gives all weight and bias gradients.  `value_and_grad` is the one
+    entry point: every loss, with or without its gradient, comes from it.
 
     Per-row intermediates go into work arrays allocated once per engine:
     fresh temporaries of this size were handed back to the operating system
@@ -240,12 +240,6 @@ class _Engine:
         self.dq = np.empty((n_factors, n)) if n_factors == 2 else self.clipped[None]
         self.outside = np.empty(n, dtype=bool)
 
-    def _check(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_free,):
-            raise ValueError(f"expected {self.n_free} free parameters, got {theta.shape}")
-        return theta
-
     def _forward(self, theta: np.ndarray) -> tuple[float, float, float]:
         """Data log-likelihood and (guess, lapse) rates at a checked theta;
         leaves the per-row intermediates in the work arrays."""
@@ -280,20 +274,10 @@ class _Engine:
         np.clip(arg, LOG_CLAMP, 1.0 - LOG_CLAMP, out=self.clipped)
         return float(np.sum(np.log(self.clipped, out=self.logs))), guess, lapse
 
-    def _penalized(self, theta: np.ndarray, total: float) -> float:
-        value = -total
-        for offset, c in self.factors:
-            if c:
-                w = theta[offset : offset + self.d]
-                value += c * float(w @ w)
-        return value
-
-    def value(self, theta: np.ndarray) -> float:
-        theta = self._check(theta)
-        return self._penalized(theta, self._forward(theta)[0])
-
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = self._check(theta)
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.n_free,):
+            raise ValueError(f"expected {self.n_free} free parameters, got {theta.shape}")
         total, guess, lapse = self._forward(theta)
 
         # d log(clip(arg)) / dq is sign / arg where the clamp leaves arg as
@@ -315,9 +299,12 @@ class _Engine:
         d = self.d
         grad = np.empty(self.n_free)
         grad[self.gather] = -(dz @ self.xt.T)
+        value = -total
         for offset, penalty in self.factors:
             if penalty:
-                grad[offset : offset + d] += 2.0 * penalty * theta[offset : offset + d]
+                w = theta[offset : offset + d]
+                value += penalty * float(w @ w)
+                grad[offset : offset + d] += 2.0 * penalty * w
         if self.rates is None:
             # dp_0 / dguess = 1 - s_0 and dp_0 / dlapse = -s_0, chained
             # through the softmax Jacobian (module docstring); a surrogate
@@ -328,13 +315,14 @@ class _Engine:
             for j, rate, d_rate in ((d + 1, guess, d_guess), (d + 2, lapse, d_lapse)):
                 inside = abs(theta[j]) < RATE_LOGIT_BOUND
                 grad[j] = -rate * (d_rate - mean) if inside else 0.0
-        return self._penalized(theta, total), grad
+        return value, grad
 
 
 def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
-    """The (value, value_and_grad) pair that the optimizer minimizes."""
-    engine = _Engine(data, reg, _LAYOUTS[kind])
-    return engine.value, engine.value_and_grad
+    """The (value, value_and_grad) pair that the optimizer minimizes; its
+    value is the first half of value_and_grad."""
+    value_and_grad = _Engine(data, reg, _LAYOUTS[kind]).value_and_grad
+    return lambda theta: value_and_grad(theta)[0], value_and_grad
 
 
 def conditional_log_likelihood(data: Dataset, params: SpmParams | PsychmParams) -> float:
@@ -348,12 +336,12 @@ def conditional_log_likelihood(data: Dataset, params: SpmParams | PsychmParams) 
     rates = (params.guess, params.lapse) if isinstance(params, PsychmParams) else (0.0, 0.0)
     sel, tgt = params.selection, params.target
     theta = np.concatenate([sel.w, [sel.b], tgt.w, [tgt.b]])
-    return -_Engine(data, RegConfig(), (2, rates, "l")).value(theta)
+    return -_Engine(data, RegConfig(), (2, rates, "l")).value_and_grad(theta)[0]
 
 
 def loss(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> float:
     """Negative log-likelihood plus the weight penalties."""
-    return _Engine(data, reg, _LAYOUTS[kind]).value(theta)
+    return _Engine(data, reg, _LAYOUTS[kind]).value_and_grad(theta)[0]
 
 
 def loss_gradient(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> np.ndarray:

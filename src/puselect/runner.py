@@ -327,17 +327,20 @@ def generate_dataset(cfg: ExperimentConfig, out_path) -> Dataset:
     return data
 
 
-def _true_target_weights(dataset_path: Path) -> np.ndarray | None:
+def _true_target_weights(dataset_path: Path, dim: int) -> np.ndarray | None:
     """The true target weights in the generator sidecar next to a dataset CSV;
-    None when there is no sidecar, and an error when the file is not one."""
+    None when there is no sidecar, and an error when the file is not one of ``dim`` features."""
     sidecar = dataset_path.with_suffix(".json")
     if not sidecar.exists():
         return None
     try:
         truth = json.loads(sidecar.read_text())
-        return np.asarray(truth["true_params"]["target"]["w"], dtype=float)
+        true_w = np.asarray(truth["true_params"]["target"]["w"], dtype=float)
     except (ValueError, LookupError, TypeError) as exc:
         raise ValueError(f"{sidecar}: no true_params.target.w of a generator sidecar: {exc}") from None
+    if true_w.shape != (dim,):
+        raise ValueError(f"{sidecar}: true target has {true_w.size} weights, the dataset {dim} features")
+    return true_w
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -352,11 +355,11 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
 
     If the dataset has a generator sidecar JSON next to it, the report adds
     the cosine similarity between fitted and true target weights; a JSON
-    there that is not a sidecar is an error, raised before any fit.
+    there that is not a sidecar of its dimension is an error, raised before any fit.
     """
     dataset_path, out_file = Path(dataset_path), Path(out_file)
     data = read_csv(dataset_path)
-    true_w = _true_target_weights(dataset_path)
+    true_w = _true_target_weights(dataset_path, data.dim)
     _check_writable(out_file.parent)
     model = train_model(data, kind, cfg.protocol, seed=cfg.seed)
 
@@ -379,7 +382,7 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
         "training_metrics": training,
     }
 
-    if true_w is not None and true_w.size == model.target.w.size:
+    if true_w is not None:
         payload["recovery"] = {"target_weight_cosine": _cosine(model.target.w, true_w)}
 
     return _write_json(out_file, payload)

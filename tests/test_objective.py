@@ -515,9 +515,9 @@ class TestFastClosures:
     @pytest.mark.parametrize("flags", ["mixed", "all", "none"])
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_fused_matches_reference(self, kind, flags):
-        # The value-only pass and the gradient pass must agree bit for bit,
-        # also when every row has the same (base, sign) pair: all annotated
-        # or none.
+        # The public wrappers and the value closure must give value_and_grad's
+        # own bits, also when every row has the same (base, sign) pair: all
+        # annotated or none.
         rng = np.random.default_rng(11)
         data = _random_dataset(rng, n=30, d=3)
         if flags != "mixed":

@@ -273,6 +273,18 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown key 'optimizer.method'"):
             parse_config_file(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed=1\nseed=2\n")
+        with pytest.raises(ValueError, match="line 2: repeated key 'seed'"):
+            parse_config_file(path)
+
+    def test_build_config_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="unknown config key 'trial'"):
+            build_config({"trial": "3", "generator.N": "7"})
+        with pytest.raises(ValueError, match="unknown config key 'generator.N'"):
+            build_config({"generator.N": "7"})
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("generator.n\n")
@@ -449,7 +461,11 @@ class TestCliMain:
         assert main(["fit", str(csv_path), "--model", "spm", *flags]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", ['{"source": "lab notebook"}', "not json"])
+    # Not a sidecar, not JSON, and the sidecar of a 3-feature dataset beside a 2-feature CSV.
+    @pytest.mark.parametrize(
+        "content",
+        ['{"source": "lab notebook"}', "not json", '{"true_params": {"target": {"w": [1.0, -1.0, 0.5]}}}'],
+    )
     def test_fit_rejects_a_json_beside_the_csv_before_training(
         self, tmp_path, capsys, monkeypatch, content
     ):
@@ -465,6 +481,7 @@ class TestCliMain:
         assert main(["fit", str(csv_path), "--model", "naive", *self._flags(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "d.json" in err and "Traceback" not in err
+        assert "true_params" not in content or "3 weights, the dataset 2 features" in err
         assert not (tmp_path / "cli_out").exists()
 
     def test_generate_rejects_a_json_dataset_path(self, tmp_path, capsys):
