@@ -192,6 +192,10 @@ def _print_table(table, cfg: ExperimentConfig) -> None:
             "(they hit optimizer.max_iters or their line search stalled)",
             file=sys.stderr,
         )
+    for r in table.reports:
+        if r.f1 is None:
+            print(f"warning: model {r.model.value} failed to fit at trial_id {r.trial_id}; "
+                  "its row has empty scores", file=sys.stderr)
     header = ["metric"] + [k.value for k in cfg.models]
     rows = [header]
     for metric, by_model in table.cells.items():

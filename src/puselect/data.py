@@ -101,17 +101,12 @@ def split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
 
 
 def write_csv(data: Dataset, path) -> None:
-    header = [f"f{j}" for j in range(data.dim)] + ["l"]
-    if data.y is not None:
-        header.append("y")
+    flags = ["l"] if data.y is None else ["l", "y"]
+    header = ",".join([f"f{j}" for j in range(data.dim)] + flags)
+    rows = np.column_stack([data.x] + [getattr(data, f) for f in flags])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [f"{v:.17g}" for v in data.x[i]] + [int(data.l[i])]
-            if data.y is not None:
-                row.append(int(data.y[i]))
-            writer.writerow(row)
+        np.savetxt(fh, rows, ["%.17g"] * data.dim + ["%d"] * len(flags), delimiter=",",
+                   newline="\r\n", header=header, comments="")
 
 
 def _first_fault(path, width: int, d: int) -> str | None:

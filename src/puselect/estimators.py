@@ -338,8 +338,8 @@ def select_hyperparams(
     fitted once per target penalty, at the largest selection penalty, the
     cell that tie-break picks.  A cell whose fold fit hits degenerate data
     or a non-finite loss is failed and never selected; if every cell fails,
-    a ValueError names the model.  A one-cell path is returned without
-    fold fits, so it cannot fail.
+    a `DegenerateDataError` names the model.  A one-cell path is returned
+    without fold fits, so it cannot fail.
     """
     cv = protocol.cv
     if data.n < cv.folds:
@@ -375,7 +375,7 @@ def select_hyperparams(
         if best is None or rank < best[0]:
             best = (rank, reg)
     if best is None:
-        raise ValueError(f"every cross-validation cell failed for model {kind.value}")
+        raise DegenerateDataError(f"every cross-validation cell failed for model {kind.value}")
     return best[1]
 
 

@@ -32,16 +32,17 @@ LOWER_IS_BETTER = ("brier",)
 @dataclass(frozen=True)
 class MetricReport:
     """Scores of one model on one trial; auc is None when the test truth is
-    single-class.  ``converged`` is the fit's diagnostic, counted in the
+    single-class, and every score and penalty is None when the model failed
+    to fit.  ``converged`` is the fit's diagnostic, counted in the
     aggregate but not written per row; ``c_sel`` and ``c_tgt`` are the
     penalties the fit used, written per row."""
 
     model: ModelKind
     trial_id: int
-    f1: float
-    accuracy: float
+    f1: float | None
+    accuracy: float | None
     auc: float | None
-    brier: float
+    brier: float | None
     converged: bool = True
     c_sel: float | None = None
     c_tgt: float | None = None

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import LinearParams, ModelKind, PsychmParams, SpmParams
+from .models import LinearParams, ModelKind, PsychmParams, SpmParams, _sigmoid_into
 
 __all__ = [
     "LOG_CLAMP",
@@ -250,21 +250,7 @@ class _Engine:
             guess, lapse = self.rates
         span = 1.0 - guess - lapse
 
-        # sigmoid(z) is upper = 1 / (1 + exp(-|z|)) for z >= 0 and 1 - upper
-        # below, so exp never overflows.  upper lies in [0.5, 1], where
-        # upper - 0.5 and both results are exact, so 0.5 + copysign(upper -
-        # 0.5, z) picks the branch bit for bit without a data-dependent
-        # (mispredicted) select.
-        z, s = self.z, self.s
-        np.matmul(theta[self.gather], self.xt, out=z)
-        np.abs(z, out=s)
-        np.negative(s, out=s)
-        np.exp(s, out=s)
-        np.add(1.0, s, out=s)
-        np.divide(1.0, s, out=s)
-        np.subtract(s, 0.5, out=s)
-        np.copysign(s, z, out=s)
-        np.add(s, 0.5, out=s)
+        s = _sigmoid_into(np.matmul(theta[self.gather], self.xt, out=self.z), self.s)
         if self.mapped:
             np.multiply(span, s[0], out=self.p0)
             np.add(guess, self.p0, out=self.p0)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, _derive_seed, _rng, read_csv, split, write_csv
-from .estimators import TrainingProtocol, train_model
+from .estimators import DegenerateDataError, TrainingProtocol, train_model
 from .metrics import (
     LOWER_IS_BETTER,
     METRIC_NAMES,
@@ -32,6 +32,7 @@ from .metrics import (
 )
 from .models import ModelKind
 from .objective import label_column
+from .optimize import NonFiniteError
 from .synth import GeneratorConfig, generate
 
 __all__ = [
@@ -45,20 +46,11 @@ __all__ = [
     "fit_single",
 ]
 
-ALL_KINDS = (
-    ModelKind.SPM,
-    ModelKind.PSYCHM,
-    ModelKind.NAIVE,
-    ModelKind.ELKAN,
-    ModelKind.REAL_ORACLE,
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     protocol: TrainingProtocol = field(default_factory=TrainingProtocol)
-    models: tuple[ModelKind, ...] = ALL_KINDS
+    models: tuple[ModelKind, ...] = tuple(ModelKind)
     trials: int = 500
     resamples: int = 200
     quantile_rule: float = 0.05
@@ -98,28 +90,22 @@ class ResultTable:
     def mean(self, metric: str, model: ModelKind) -> float:
         return self.cells[metric][model].mean
 
-def _jsonable(obj):
-    """Plain JSON data: dataclasses as dicts, enums (dict keys too) by value, arrays as lists."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+def _json_default(obj):
+    """What ``json`` cannot write itself as plain JSON data: a dataclass as
+    its fields, an enum by value, and a numpy array or scalar by ``tolist``
+    as a list or a Python number.  Any other object raises."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, dict):
-        return {str(_jsonable(k)): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+    return obj.tolist()
 
 
 def _write_json(path: Path, payload: dict) -> dict:
     """Write ``payload`` in the one format of every JSON result file; return the data written."""
-    payload = _jsonable(payload)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    path.write_text(text + "\n")
+    return json.loads(text)
 
 
 def _check_writable(output_dir: str | Path) -> Path:
@@ -150,9 +136,7 @@ def _aggregate(
         table = {}
         columns = {}
         for kind in models:
-            vals = np.array(
-                [np.nan if getattr(r, metric) is None else getattr(r, metric) for r in by_model[kind]]
-            )
+            vals = np.array([getattr(r, metric) for r in by_model[kind]], dtype=float)  # None is nan
             defined = vals[~np.isnan(vals)]
             mean = float(np.mean(defined)) if defined.size else float("nan")
             stderr = (
@@ -182,11 +166,9 @@ def _aggregate(
 def _report_rows(reports: list[MetricReport], provenance: str) -> str:
     lines = [f"# {provenance}", "model,trial_id,f1,accuracy,auc,brier,c_sel,c_tgt"]
     for r in reports:
-        auc = "" if r.auc is None else repr(r.auc)
-        lines.append(
-            f"{r.model.value},{r.trial_id},{r.f1!r},{r.accuracy!r},{auc},{r.brier!r},"
-            f"{r.c_sel!r},{r.c_tgt!r}"
-        )
+        values = (r.f1, r.accuracy, r.auc, r.brier, r.c_sel, r.c_tgt)
+        fields = [r.model.value, str(r.trial_id)] + ["" if v is None else repr(v) for v in values]
+        lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
 
 
@@ -195,25 +177,22 @@ def _config_json(cfg: ExperimentConfig) -> dict:
     that determines the numbers; jobs and the output location are execution
     details with no influence on results, and leaving them out keeps reruns
     byte-identical whatever the parallelism or destination."""
-    cfg_json = _jsonable(cfg)
-    del cfg_json["jobs"], cfg_json["output_dir"]
-    return cfg_json
+    return {name: value for name, value in vars(cfg).items() if name not in ("jobs", "output_dir")}
 
 
 def _write_outputs(out: Path, mode: str, cfg: ExperimentConfig, table: ResultTable, csv_name: str):
-    cfg_json = _config_json(cfg)
-    provenance = json.dumps({"mode": mode, "seed": cfg.seed, "config": cfg_json}, sort_keys=True)
-    (out / csv_name).write_text(_report_rows(table.reports, provenance))
     significance = {m: None if s is None else s.as_json_dict() for m, s in table.significance.items()}
     payload = {
         "mode": mode,
         "seed": cfg.seed,
-        "config": cfg_json,
+        "config": _config_json(cfg),
         "results": table.cells,
         "significance": significance,
         "non_converged_fits": table.non_converged_fits,
     }
-    _write_json(out / "aggregate.json", payload)
+    written = _write_json(out / "aggregate.json", payload)
+    provenance = json.dumps({key: written[key] for key in ("mode", "seed", "config")}, sort_keys=True)
+    (out / csv_name).write_text(_report_rows(table.reports, provenance))
 
 
 def _map_units(task, units: int, jobs: int) -> list:
@@ -237,10 +216,16 @@ def _map_units(task, units: int, jobs: int) -> list:
 def _train_and_score(
     train: Dataset, test: Dataset, kinds, protocol: TrainingProtocol, seed: int, unit: int
 ) -> list[MetricReport]:
-    """Train every model of one trial or resample and score it on the test rows."""
+    """Train every model of one trial or resample and score it on the test rows.
+    A model whose data cannot support a fit, or whose loss turns non-finite,
+    is reported as failed, with no scores, and the other models still run."""
     reports = []
     for k_idx, kind in enumerate(kinds):
-        model = train_model(train, kind, protocol, seed=_derive_seed(seed, unit, 2, k_idx))
+        try:
+            model = train_model(train, kind, protocol, seed=_derive_seed(seed, unit, 2, k_idx))
+        except (DegenerateDataError, NonFiniteError):
+            reports.append(MetricReport(kind, unit, None, None, None, None))
+            continue
         report = score_report(kind, unit, model.score(test.x), test.y)
         reports.append(
             replace(

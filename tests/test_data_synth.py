@@ -74,6 +74,18 @@ class TestCsv:
         np.testing.assert_array_equal(back.y, data.y)
         assert path.read_text().splitlines()[0] == "f0,f1,f2,l,y"
 
+    def test_golden_bytes(self, tmp_path):
+        # 17 significant digits, integer flags, CRLF line ends, no quoting.
+        x = [[-0.0, 5e-324], [1e300, 2 / 3], [0.1, -2.5]]
+        path = tmp_path / "data.csv"
+        write_csv(Dataset(x=np.array(x), l=np.array([0, 1, 0]), y=np.array([1, 1, 0])), path)
+        assert path.read_bytes() == (
+            b"f0,f1,l,y\r\n"
+            b"-0,4.9406564584124654e-324,0,1\r\n"
+            b"1.0000000000000001e+300,0.66666666666666663,1,1\r\n"
+            b"0.10000000000000001,-2.5,0,0\r\n"
+        )
+
     def test_roundtrip_without_y(self, tmp_path):
         data = Dataset(x=np.random.default_rng(9).normal(size=(5, 2)), l=np.array([0, 1, 0, 0, 1]))
         path = tmp_path / "data.csv"

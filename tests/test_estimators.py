@@ -674,6 +674,25 @@ class TestWrongTargetRegressions:
         pred = (model.score(test.x) >= 0.5).astype(int)
         assert f1(pred, test.y) >= f1(rule, test.y) - 0.1
 
+    def test_spm_swap_rate_at_zero_rates_follows_the_premise(self):
+        # At guess = lapse = 0 the swap of SPM's factors leaves its likelihood
+        # unchanged, so only the steeper-factor rule decides which factor is
+        # the target.  Over seeds 0-29, 15 fits end with a target of cosine
+        # below 0.99 to the true one, and every other fit is above 0.998.  In
+        # seeds 4, 8 and 14 the two fitted norms are within 2% of each other,
+        # so the band is 15 +- 3.
+        wrong, selection_steeper = [], []
+        for s in range(30):
+            data = generate(GeneratorConfig(n=2000, guess=0.0, lapse=0.0, seed=s))
+            model = fit_spm(data, RegConfig(0.01, 0.01), TrainingProtocol(), seed=s)
+            truth = data.true_params
+            wrong.append(cosine(model.target.w, truth.target.w) < 0.99)
+            selection_steeper.append(truth.selection.norm() > truth.target.norm())
+        assert 12 <= sum(wrong) <= 18
+        # The rule's premise, a true target steeper than the true selection,
+        # fails in 13 of the 15 wrong draws and in 2 of the 15 others.
+        assert sum(w == p for w, p in zip(wrong, selection_steeper)) >= 26 - 3
+
     def test_fit_large_seed_13003_spm_recovers_target(self):
         # `fit --model spm --seed 13003 --cv.grid_sel 0.01 --cv.grid_tgt 0.01`
         # on the CSV of `generate --seed 13003 --generator.n 10000` once

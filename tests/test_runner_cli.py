@@ -15,8 +15,8 @@ from puselect.data import read_csv
 from puselect.estimators import CvConfig, TrainingProtocol
 from puselect.metrics import METRIC_NAMES, MetricReport, PairTest, SignificanceMatrix
 from puselect.models import ModelKind
-from puselect import runner
-from puselect.optimize import OptimizerConfig
+from puselect import estimators, runner
+from puselect.optimize import NonFiniteError, OptimizerConfig
 from puselect.runner import (
     CellStats,
     ExperimentConfig,
@@ -415,6 +415,37 @@ class TestCliMain:
         # One final fit per model and resample, each stopped by its cap.
         assert payload["non_converged_fits"] == 2 * 2
         assert "4 final fits did not converge" in capsys.readouterr().err
+
+    def test_unit_whose_cv_fails_is_recorded_as_failed(self, tmp_path):
+        # Trial 257's training half has 4 annotated rows of 150, so every
+        # naive CV cell meets a fold with none of them.
+        flags = self._flags(tmp_path)
+        cfg = build_config({k[2:]: v for k, v in zip(flags[::2], flags[1::2])})
+        reports = runner._run_synth_trial(cfg, 257)
+        assert [r.model for r in reports] == [ModelKind.SPM, ModelKind.NAIVE, ModelKind.REAL_ORACLE]
+        naive = reports[1]
+        assert (naive.f1, naive.accuracy, naive.auc, naive.brier, naive.c_sel, naive.c_tgt) == (None,) * 6
+        assert reports[0].f1 is not None and reports[2].f1 is not None
+
+    def test_bench_synth_survives_a_failed_fit(self, tmp_path, capsys, monkeypatch):
+        fit_naive, failed = estimators.fit_naive, []
+
+        def first_final_fit_fails(data, *args):
+            # Final fits see all 150 training rows, fold fits 75.
+            if data.n == 150 and not failed:
+                failed.append(data.n)
+                raise NonFiniteError("loss is nan", np.zeros(data.dim + 1))
+            return fit_naive(data, *args)
+
+        monkeypatch.setattr(estimators, "fit_naive", first_final_fit_fails)
+        code = main(["bench-synth", "--trials", "2", "--jobs", "1", *self._flags(tmp_path)])
+        assert code == 0
+        out = tmp_path / "cli_out"
+        rows = [line.split(",") for line in (out / "trials.csv").read_text().splitlines()[2:]]
+        assert [row for row in rows if "" in row] == [["naive", "0"] + [""] * 6]
+        counts = json.loads((out / "aggregate.json").read_text())["results"]["f1"]
+        assert {kind: cell["count"] for kind, cell in counts.items()} == {"spm": 2, "naive": 1, "real": 2}
+        assert "model naive failed to fit at trial_id 0" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         code = main(["bench-synth", "--trials", "0", *self._flags(tmp_path)])
