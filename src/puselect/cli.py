@@ -199,7 +199,8 @@ def _print_table(table, cfg: ExperimentConfig) -> None:
     header = ["metric"] + [k.value for k in cfg.models]
     rows = [header]
     for metric, by_model in table.cells.items():
-        rows.append([metric] + [f"{by_model[k].mean:.4f}" for k in cfg.models])
+        means = [by_model[k].mean for k in cfg.models]
+        rows.append([metric] + ["nan" if m is None else f"{m:.4f}" for m in means])
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))

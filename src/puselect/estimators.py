@@ -195,7 +195,11 @@ def _assign_target_factor(params: SpmParams) -> SpmParams:
 def _fit(data, kind, reg, protocol, seed, init, notes=()) -> FittedModel:
     """The model at the lowest-loss optimum of `_best_of_starts`, read off
     by `unpack`; SPM's factors are then assigned by `_assign_target_factor`.
-    A non-converged optimizer is reported in the diagnostics, not raised."""
+    A one-class label column fails a one-factor fit with `DegenerateDataError`;
+    a non-converged optimizer is reported in the diagnostics, not raised."""
+    labels = getattr(data, label_column(kind))
+    if kind not in _TWO_FACTOR and labels is not None and np.all(labels == labels[0]):
+        raise DegenerateDataError(f"the {label_column(kind)} column holds one class; nothing to fit")
     best = _best_of_starts(data, kind, reg, protocol, seed, init)
     params = unpack(kind, best.params, data.dim)
     if kind == ModelKind.SPM:
@@ -219,8 +223,6 @@ def fit_naive(
     The fit is convex, so the seed has no effect; it is accepted for
     interface uniformity with the other fitting procedures.
     """
-    if np.all(data.l == data.l[0]):
-        raise DegenerateDataError("annotation flags are all equal; nothing to fit")
     return _fit(data, ModelKind.NAIVE, reg, protocol, seed, init)
 
 
@@ -228,10 +230,6 @@ def fit_real_oracle(
     data: Dataset, reg: RegConfig, protocol: TrainingProtocol, seed: int = 0, init=None
 ) -> FittedModel:
     """Logistic regression on the ground-truth classes; an upper-bound reference."""
-    if data.y is None:
-        raise ValueError("oracle fit needs ground-truth classes y")
-    if np.all(data.y == data.y[0]):
-        raise DegenerateDataError("classes are all equal; nothing to fit")
     return _fit(data, ModelKind.REAL_ORACLE, reg, protocol, seed, init)
 
 
@@ -241,8 +239,6 @@ def fit_elkan(
     """Constant-propensity baseline: learn h(x) = p(l=1|x), then estimate the
     labeling constant as the mean of h over the annotated holdout rows."""
     train, holdout = split(data, 1.0 - _ELKAN_HOLDOUT, seed=_derive_seed(seed, 100))
-    if np.all(train.l == train.l[0]):
-        raise DegenerateDataError("training part has all-equal annotation flags")
     labeled = holdout.l == 1
     if not np.any(labeled):
         raise DegenerateDataError("holdout contains no labeled positives; cannot estimate c")

@@ -73,7 +73,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CellStats:
-    mean: float
+    mean: float | None  # None when no unit has the metric defined (count 0)
     stderr: float
     count: int
 
@@ -87,7 +87,7 @@ class ResultTable:
     reports: list[MetricReport]
     non_converged_fits: int = 0
 
-    def mean(self, metric: str, model: ModelKind) -> float:
+    def mean(self, metric: str, model: ModelKind) -> float | None:
         return self.cells[metric][model].mean
 
 def _json_default(obj):
@@ -138,7 +138,7 @@ def _aggregate(
         for kind in models:
             vals = np.array([getattr(r, metric) for r in by_model[kind]], dtype=float)  # None is nan
             defined = vals[~np.isnan(vals)]
-            mean = float(np.mean(defined)) if defined.size else float("nan")
+            mean = float(np.mean(defined)) if defined.size else None
             stderr = (
                 float(np.std(defined, ddof=1) / np.sqrt(defined.size)) if defined.size > 1 else 0.0
             )
@@ -164,11 +164,11 @@ def _aggregate(
 
 
 def _report_rows(reports: list[MetricReport], provenance: str) -> str:
-    lines = [f"# {provenance}", "model,trial_id,f1,accuracy,auc,brier,c_sel,c_tgt"]
+    columns = METRIC_NAMES + ("c_sel", "c_tgt")
+    lines = [f"# {provenance}", ",".join(("model", "trial_id") + columns)]
     for r in reports:
-        values = (r.f1, r.accuracy, r.auc, r.brier, r.c_sel, r.c_tgt)
-        fields = [r.model.value, str(r.trial_id)] + ["" if v is None else repr(v) for v in values]
-        lines.append(",".join(fields))
+        fields = ["" if getattr(r, name) is None else repr(getattr(r, name)) for name in columns]
+        lines.append(",".join([r.model.value, str(r.trial_id)] + fields))
     return "\n".join(lines) + "\n"
 
 
@@ -328,10 +328,10 @@ def _true_target_weights(dataset_path: Path, dim: int) -> np.ndarray | None:
     return true_w
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+def _cosine(u: np.ndarray, v: np.ndarray) -> float | None:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
-        return float("nan")
+        return None
     return float(u @ v / (nu * nv))
 
 
@@ -352,7 +352,7 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
     training = {"brier_annotation": brier(model.annotation_probability(data.x), label)}
     if data.y is not None:
         rep = score_report(kind, 0, model.score(data.x), data.y)
-        training.update({"f1": rep.f1, "accuracy": rep.accuracy, "auc": rep.auc, "brier": rep.brier})
+        training.update({name: getattr(rep, name) for name in METRIC_NAMES})
 
     # Weights and rates; the fields this kind of model does not have (None) are left out.
     params = {n: getattr(model, n) for n in ("target", "selection", "guess", "lapse", "c_hat")}

@@ -89,6 +89,22 @@ class TestFitNaive:
             fit_naive(Dataset(x=np.ones((3, 1)), l=np.ones(3, dtype=int)), REG0, ONE_START)
 
 
+@pytest.mark.parametrize(
+    "fit, l, y, column",
+    [
+        (fit_naive, np.zeros(40, dtype=int), np.r_[np.ones(20, dtype=int), np.zeros(20, dtype=int)], "l"),
+        (fit_elkan, np.ones(40, dtype=int), np.ones(40, dtype=int), "l"),
+        (fit_real_oracle, np.r_[np.ones(20, dtype=int), np.zeros(20, dtype=int)], np.ones(40, dtype=int), "y"),
+    ],
+    ids=["naive", "elkan", "real"],
+)
+def test_one_class_label_column_is_degenerate(fit, l, y, column):
+    # The other column has two classes where it can: the fit must read its own.
+    x = np.random.default_rng(0).normal(size=(40, 2))
+    with pytest.raises(DegenerateDataError, match=f"the {column} column holds one class"):
+        fit(Dataset(x=x, l=l, y=y), REG0, ONE_START)
+
+
 class TestFitRealOracle:
     def test_requires_ground_truth(self):
         with pytest.raises(ValueError):

@@ -211,6 +211,9 @@ class TestFitSingle:
         payload = fit_single(cfg, csv_path, ModelKind.NAIVE, tmp_path / "fit.json")
         assert "recovery" not in payload
 
+    def test_zero_weights_have_no_cosine(self):
+        assert runner._cosine(np.zeros(2), np.ones(2)) is None
+
 
 class TestAggregateJson:
     def test_layout_key_by_key(self, tmp_path):
@@ -221,7 +224,7 @@ class TestAggregateJson:
             for t in range(2)
             for kind in (spm, naive)
         ]
-        defined, undefined = CellStats(0.5, 0.0, 2), CellStats(float("nan"), 0.0, 0)
+        defined, undefined = CellStats(0.5, 0.0, 2), CellStats(None, 0.0, 0)
         cells = {m: {spm: defined, naive: undefined if m == "auc" else defined} for m in METRIC_NAMES}
         pairs = {(spm, naive): PairTest(True, 0.125), (naive, spm): PairTest(False, -0.125)}
         significance = {m: None if m == "auc" else SignificanceMatrix(0.05, pairs) for m in METRIC_NAMES}
@@ -238,8 +241,7 @@ class TestAggregateJson:
             assert by_model["spm"] == {"mean": 0.5, "stderr": 0.0, "count": 2}
             assert set(by_model) == {"spm", "naive"}
             assert set(by_model["naive"]) == {"mean", "stderr", "count"}
-        assert np.isnan(payload["results"]["auc"]["naive"]["mean"])
-        assert payload["results"]["auc"]["naive"]["count"] == 0
+        assert payload["results"]["auc"]["naive"] == {"mean": None, "stderr": 0.0, "count": 0}
         assert payload["results"]["f1"]["naive"] == {"mean": 0.5, "stderr": 0.0, "count": 2}
         assert payload["significance"]["auc"] is None
         assert payload["significance"]["f1"] == {
@@ -446,6 +448,29 @@ class TestCliMain:
         counts = json.loads((out / "aggregate.json").read_text())["results"]["f1"]
         assert {kind: cell["count"] for kind, cell in counts.items()} == {"spm": 2, "naive": 1, "real": 2}
         assert "model naive failed to fit at trial_id 0" in capsys.readouterr().err
+
+    def test_model_failing_in_every_unit_writes_strict_json(self, tmp_path, capsys, monkeypatch):
+        def fails(data, *args):
+            raise NonFiniteError("loss is nan", np.zeros(data.dim + 1))
+
+        def no_constants(name):
+            raise AssertionError(f"aggregate.json holds {name}, which is not JSON")
+
+        # A one-cell grid runs no fold fits, so the final fit is naive's only one.
+        monkeypatch.setattr(estimators, "fit_naive", fails)
+        code = main([
+            "bench-synth", "--trials", "1", "--models", "naive,real", "--generator.n", "300",
+            "--generator.d", "2", "--cv.grid_sel", "0", "--cv.grid_tgt", "0",
+            "--out", str(tmp_path / "cli_out"),
+        ])
+        assert code == 0
+        text = (tmp_path / "cli_out" / "aggregate.json").read_text()
+        results = json.loads(text, parse_constant=no_constants)["results"]
+        assert {m: results[m]["naive"] for m in METRIC_NAMES} == {
+            m: {"mean": None, "stderr": 0.0, "count": 0} for m in METRIC_NAMES
+        }
+        table = capsys.readouterr().out.splitlines()
+        assert [row.split()[1] for row in table[1:5]] == ["nan"] * 4
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         code = main(["bench-synth", "--trials", "0", *self._flags(tmp_path)])
