@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="train one model on a dataset CSV")
     p_fit.add_argument("dataset_csv")
-    p_fit.add_argument("--model", required=True, help="naive|elkan|spm|psychm|real")
+    p_fit.add_argument("--model", required=True, help="|".join(k.value for k in ModelKind))
     _add_common_flags(p_fit)
 
     return parser

@@ -111,7 +111,7 @@ def write_csv(data: Dataset, path) -> None:
 
 def _first_fault(path, width: int, d: int) -> str | None:
     """Why Python's own parsers reject the rows: the first bad line, "no data rows", or None."""
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         rows = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row][1:]
     for lineno, row in rows:
         if len(row) != width:
@@ -127,13 +127,14 @@ def read_csv(path) -> Dataset:
     """Parse a dataset CSV; malformed content reports the offending line number.
 
     numpy's C loader parses the rows, flags as integers; if it refuses them,
-    a rescan with Python's parsers names the first bad line."""
-    with open(path) as fh:
+    a rescan with Python's parsers names the first bad line.  A byte that
+    does not decode reads as U+FFFD, which no header or field accepts."""
+    with open(path, errors="replace") as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        has_y = header[-1] == "y"
+        has_y = header[-1:] == ["y"]
         d = len(header) - 1 - has_y
         expected = [f"f{j}" for j in range(d)] + ["l"] + (["y"] if has_y else [])
         if d < 1 or header != expected:

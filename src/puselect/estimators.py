@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, _derive_seed, _rng, split
 from .metrics import brier
-from .models import LinearParams, ModelKind, SpmParams, affine_sigmoid, psychometric
+from .models import LinearParams, ModelKind, PsychmParams, affine_sigmoid, psychometric
 from .objective import RegConfig, label_column, make_loss_functions, unconstrain_rates, unpack
 from .optimize import NonFiniteError, OptimResult, OptimizerConfig, minimize
 
@@ -84,9 +84,10 @@ class FittedModel:
 
     ``target`` always holds the sigmoid the classifier evaluates, except
     for the Elkan baseline where it holds the annotation model h and the
-    score is min(1, h / c_hat).  ``reg`` holds the penalties of the fit,
-    and ``theta`` the optimizer's final free-parameter vector, before SPM's
-    factor assignment: a warm start for a fit of the same model.
+    score is min(1, h / c_hat).  SPM and PsychM set ``selection``, ``guess``
+    and ``lapse``, SPM's rates at 0.0.  ``reg`` holds the penalties of the
+    fit, and ``theta`` the optimizer's final free-parameter vector, before
+    SPM's factor assignment: a warm start for a fit of the same model.
     """
 
     kind: ModelKind
@@ -113,7 +114,7 @@ class FittedModel:
         if self.selection is None:
             return h
         sel = self.selection
-        return psychometric(x, sel.w, sel.b, self.guess or 0.0, self.lapse or 0.0) * h
+        return psychometric(x, sel.w, sel.b, self.guess, self.lapse) * h
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def _best_of_starts(data, kind, reg, protocol, seed, init) -> OptimResult:
     return best
 
 
-def _assign_target_factor(params: SpmParams) -> SpmParams:
+def _assign_target_factor(params: PsychmParams) -> PsychmParams:
     """Resolve the factor-swap ambiguity of the sigmoid product.
 
     The annotation propensity is assumed smoother than the class posterior,
@@ -188,7 +189,7 @@ def _assign_target_factor(params: SpmParams) -> SpmParams:
     tie the first factor of the free-parameter layout is the classifier.
     """
     if params.selection.norm() >= params.target.norm():
-        return params.swapped()
+        return replace(params, selection=params.target, target=params.selection)
     return params
 
 

@@ -8,10 +8,10 @@ where t(x) = p(y=1 | x) is the classifier of interest (an affine sigmoid)
 and s(x) = p(l=1 | y=1, x) is the expert's propensity to annotate a
 positive example.  Two selection families are supported:
 
-* sigmoid product: s is itself an affine sigmoid, giving a product of two
-  sigmoids;
 * psychometric: s is an affine sigmoid squeezed between a guessing floor
-  and a lapse ceiling, the standard shape for human detection curves.
+  and a lapse ceiling, the standard shape for human detection curves;
+* sigmoid product: s is itself an affine sigmoid, giving a product of two
+  sigmoids: the psychometric case guess = lapse = 0, one `PsychmParams`.
 
 The public functions here are pure and never clamp probabilities; log-domain
 clamping is the job of the likelihood code in :mod:`puselect.objective`.
@@ -27,12 +27,10 @@ import numpy as np
 __all__ = [
     "ModelKind",
     "LinearParams",
-    "SpmParams",
     "PsychmParams",
     "sigmoid",
     "affine_sigmoid",
     "psychometric",
-    "spm_posterior",
     "psychm_posterior",
 ]
 
@@ -78,27 +76,6 @@ class LinearParams:
         return float(np.sqrt(self.w @ self.w + self.b * self.b))
 
 
-@dataclass(frozen=True)
-class SpmParams:
-    """Selection and target factors of a sigmoid-product posterior."""
-
-    selection: LinearParams
-    target: LinearParams
-
-    def __post_init__(self):
-        if self.selection.dim != self.target.dim:
-            raise ValueError(
-                f"selection dim {self.selection.dim} != target dim {self.target.dim}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.target.dim
-
-    def swapped(self) -> "SpmParams":
-        return SpmParams(selection=self.target, target=self.selection)
-
-
 def _check_rates(guess: float, lapse: float) -> tuple[float, float]:
     guess, lapse = float(guess), float(lapse)
     if not (np.isfinite(guess) and np.isfinite(lapse)):
@@ -115,11 +92,11 @@ def _check_rates(guess: float, lapse: float) -> tuple[float, float]:
 class PsychmParams:
     """Psychometric selection (linear part + guess/lapse rates) and sigmoid target.
 
-    Evaluation tolerates the degenerate corners guess=0 and guess+lapse=1;
-    they are exactly where the family stops being identifiable, so fitting
-    code keeps away from them via the rate reparameterization and flags
-    other non-identifiable setups (e.g. one-dimensional features) in its
-    diagnostics.
+    Rates (0, 0) give the sigmoid product.  Evaluation tolerates the corners
+    guess=0 and guess+lapse=1, where the free-rate family stops being
+    identifiable; the psychometric fit keeps away from them via the rate
+    reparameterization and flags other non-identifiable setups (e.g.
+    one-dimensional features) in its diagnostics.
     """
 
     selection: LinearParams
@@ -187,14 +164,8 @@ def psychometric(x, w, b, guess, lapse):
     return guess + (1.0 - guess - lapse) * affine_sigmoid(x, w, b)
 
 
-def spm_posterior(x, params: SpmParams):
-    """Annotation probability of the sigmoid-product model."""
-    sel, tgt = params.selection, params.target
-    return affine_sigmoid(x, sel.w, sel.b) * affine_sigmoid(x, tgt.w, tgt.b)
-
-
 def psychm_posterior(x, params: PsychmParams):
-    """Annotation probability of the psychometric model."""
+    """Annotation probability of the psychometric model, and at rates (0, 0) of SPM."""
     sel, tgt = params.selection, params.target
     selection = psychometric(x, sel.w, sel.b, params.guess, params.lapse)
     return selection * affine_sigmoid(x, tgt.w, tgt.b)

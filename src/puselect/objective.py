@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import LinearParams, ModelKind, PsychmParams, SpmParams, _sigmoid_into
+from .models import LinearParams, ModelKind, PsychmParams, _sigmoid_into
 
 __all__ = [
     "LOG_CLAMP",
@@ -155,10 +155,10 @@ def label_column(kind: ModelKind) -> str:
     return _LAYOUTS[kind][2]
 
 
-def unpack(kind: ModelKind, theta: np.ndarray, dim: int) -> LinearParams | SpmParams | PsychmParams:
+def unpack(kind: ModelKind, theta: np.ndarray, dim: int) -> LinearParams | PsychmParams:
     """The parameters a free-parameter vector of ``kind`` holds: the one
     reader of the layouts above.  One factor gives its ``LinearParams``,
-    fixed rates an ``SpmParams`` and free rates a ``PsychmParams``."""
+    two a ``PsychmParams``, SPM's at the fixed rates (0, 0)."""
     theta = np.asarray(theta, dtype=float)
     n_free = free_param_length(kind, dim)
     if theta.shape != (n_free,):
@@ -168,9 +168,7 @@ def unpack(kind: ModelKind, theta: np.ndarray, dim: int) -> LinearParams | SpmPa
     if factors == 1:
         return target
     selection = LinearParams(w=theta[:dim], b=theta[dim])
-    if rates is not None:
-        return SpmParams(selection=selection, target=target)
-    guess, lapse = constrain_rates(theta[dim + 1], theta[dim + 2])
+    guess, lapse = rates or constrain_rates(theta[dim + 1], theta[dim + 2])
     return PsychmParams(selection=selection, guess=guess, lapse=lapse, target=target)
 
 
@@ -311,7 +309,7 @@ def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
     return lambda theta: value_and_grad(theta)[0], value_and_grad
 
 
-def conditional_log_likelihood(data: Dataset, params: SpmParams | PsychmParams) -> float:
+def conditional_log_likelihood(data: Dataset, params: PsychmParams) -> float:
     """Log-likelihood of the observed annotation flags given the features.
 
     The rates are fixed at the parameters' own (guess, lapse), which may lie
@@ -319,10 +317,9 @@ def conditional_log_likelihood(data: Dataset, params: SpmParams | PsychmParams) 
     """
     if data.dim != params.dim:
         raise ValueError(f"dataset dim {data.dim} != parameter dim {params.dim}")
-    rates = (params.guess, params.lapse) if isinstance(params, PsychmParams) else (0.0, 0.0)
     sel, tgt = params.selection, params.target
     theta = np.concatenate([sel.w, [sel.b], tgt.w, [tgt.b]])
-    return -_Engine(data, RegConfig(), (2, rates, "l")).value_and_grad(theta)[0]
+    return -_Engine(data, RegConfig(), (2, (params.guess, params.lapse), "l")).value_and_grad(theta)[0]
 
 
 def loss(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> float:

@@ -25,11 +25,9 @@ from puselect.models import (
     LinearParams,
     ModelKind,
     PsychmParams,
-    SpmParams,
     affine_sigmoid,
     psychm_posterior,
     sigmoid,
-    spm_posterior,
 )
 from puselect.objective import RegConfig, free_param_length, loss, loss_gradient
 from puselect.runner import ExperimentConfig, _derive_seed, bootstrap_evaluate, run_synth_benchmark
@@ -329,10 +327,12 @@ class TestCriterion5NestingExactness:
         x = rng.normal(size=(1000, 4))
         sel = LinearParams(w=rng.normal(size=4), b=0.3)
         tgt = LinearParams(w=rng.normal(size=4), b=-0.7)
-        spm = SpmParams(selection=sel, target=tgt)
+        # The sigmoid product, computed here rather than by the package,
+        # which evaluates SPM as psychm_posterior at these rates.
+        product = affine_sigmoid(x, sel.w, sel.b) * affine_sigmoid(x, tgt.w, tgt.b)
         psy = PsychmParams(selection=sel, guess=0.0, lapse=0.0, target=tgt)
-        gap = float(np.max(np.abs(psychm_posterior(x, psy) - spm_posterior(x, spm))))
-        ok = gap <= 1e-15
+        gap = float(np.max(np.abs(psychm_posterior(x, psy) - product)))
+        ok = gap == 0.0
         report(
             "criterion 5 (nesting exactness)",
             ok,

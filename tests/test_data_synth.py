@@ -125,10 +125,15 @@ class TestCsv:
         pytest.param("f0,l\n", "no data rows", id="header-only"),
         pytest.param("f0,l\nnan,0\n", "x must be finite", id="nan"),
         pytest.param("f0,l,y\n1.5,0,2\n", "y must be binary", id="y-2"),
+        pytest.param("\nf0,l\n1.5,0\n", "line 1: expected header f0,...,f{d-1},l[,y], got ",
+                     id="blank-first-line"),
+        pytest.param("\r\nf0,l\r\n1.5,0\r\n", "line 1: expected header f0,...,f{d-1},l[,y], got ",
+                     id="blank-first-line-crlf"),
+        pytest.param(b"f0,l\n1.0\xe9,1\n", "line 2: unparseable value", id="not-utf-8"),
     ])
     def test_accepts_and_rejects(self, tmp_path, text, expected):
         path = tmp_path / "data.csv"
-        path.write_bytes(text.encode())  # line ends as given
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())  # line ends as given
         # Under the default filters too, not only the test run's "error":
         # a warning must neither escape nor change the outcome.
         with warnings.catch_warnings(record=True) as caught:

@@ -22,11 +22,9 @@ from puselect.models import (
     LinearParams,
     ModelKind,
     PsychmParams,
-    SpmParams,
     affine_sigmoid,
     psychm_posterior,
     sigmoid,
-    spm_posterior,
 )
 from puselect.objective import (
     RegConfig,
@@ -226,12 +224,16 @@ class TestFitSpm:
         assert model.target.norm() > model.selection.norm()
 
     def test_tie_break_picks_first_factor(self):
-        tied = SpmParams(
+        tied = PsychmParams(
             selection=LinearParams(w=np.array([3.0, 0.0]), b=4.0),
+            guess=0.0,
+            lapse=0.0,
             target=LinearParams(w=np.array([0.0, 4.0]), b=-3.0),
         )
         resolved = est._assign_target_factor(tied)
         np.testing.assert_array_equal(resolved.target.w, tied.selection.w)
+        np.testing.assert_array_equal(resolved.selection.w, tied.target.w)
+        assert (resolved.guess, resolved.lapse) == (0.0, 0.0)
 
     def test_swapped_initialization_same_assignment(self):
         data = generate(GeneratorConfig(n=1500, d=2, seed=16))
@@ -323,15 +325,16 @@ class TestFitPsychm:
 class TestAnnotationProbability:
     @pytest.mark.parametrize("fit", [fit_naive, fit_real_oracle, fit_elkan, fit_spm, fit_psychm])
     def test_matches_the_reference_bit_for_bit(self, fit):
-        # SPM and PsychM against the posterior of their own parameters, the
-        # naive and oracle baselines against their score, and Elkan against
-        # its annotation model h.
+        # SPM against the product of its two sigmoids, PsychM against the
+        # posterior of its own parameters, the naive and oracle baselines
+        # against their score, and Elkan against its annotation model h.
         data = generate(GeneratorConfig(n=300, d=2, seed=4))
         protocol = TrainingProtocol(optimizer=OptimizerConfig(max_iters=30), n_starts=1)
         model = fit(data, RegConfig(0.1, 0.1), protocol)
         sel, tgt = model.selection, model.target
         if model.kind == ModelKind.SPM:
-            expected = spm_posterior(data.x, SpmParams(selection=sel, target=tgt))
+            assert (model.guess, model.lapse) == (0.0, 0.0)
+            expected = affine_sigmoid(data.x, sel.w, sel.b) * affine_sigmoid(data.x, tgt.w, tgt.b)
         elif model.kind == ModelKind.PSYCHM:
             params = PsychmParams(selection=sel, guess=model.guess, lapse=model.lapse, target=tgt)
             expected = psychm_posterior(data.x, params)

@@ -1,15 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from puselect.models import (
     LinearParams,
     PsychmParams,
-    SpmParams,
     affine_sigmoid,
     psychm_posterior,
     psychometric,
     sigmoid,
-    spm_posterior,
 )
 
 
@@ -101,60 +101,51 @@ class TestPsychometric:
 
 
 def _spm(sel_w, sel_b, tgt_w, tgt_b):
-    return SpmParams(
-        selection=LinearParams(w=sel_w, b=sel_b), target=LinearParams(w=tgt_w, b=tgt_b)
+    """Sigmoid-product parameters: the psychometric ones at rates (0, 0)."""
+    return PsychmParams(
+        selection=LinearParams(w=sel_w, b=sel_b),
+        guess=0.0,
+        lapse=0.0,
+        target=LinearParams(w=tgt_w, b=tgt_b),
     )
 
 
 class TestSpmPosterior:
+    # The sigmoid product is psychm_posterior at rates (0, 0); criterion 5
+    # of the acceptance suite checks it against the product of two sigmoids.
     def test_saturated_selection_factor(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(100, 3))
         p = _spm(np.zeros(3), 40.0, rng.normal(size=3), -0.5)
         np.testing.assert_allclose(
-            spm_posterior(x, p), affine_sigmoid(x, p.target.w, p.target.b), atol=1e-15, rtol=0
+            psychm_posterior(x, p), affine_sigmoid(x, p.target.w, p.target.b), atol=1e-15, rtol=0
         )
 
     def test_factor_swap_symmetry_exact(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(200, 4))
         p = _spm(rng.normal(size=4), 0.7, rng.normal(size=4), -1.2)
-        np.testing.assert_array_equal(spm_posterior(x, p), spm_posterior(x, p.swapped()))
+        swapped = replace(p, selection=p.target, target=p.selection)
+        np.testing.assert_array_equal(psychm_posterior(x, p), psychm_posterior(x, swapped))
 
     def test_bias_only_at_origin(self):
         p = _spm(np.array([1.0, 2.0]), 0.3, np.array([-1.0, 0.5]), -0.8)
-        got = spm_posterior(np.zeros(2), p)
+        got = psychm_posterior(np.zeros(2), p)
         assert got == sigmoid(0.3) * sigmoid(-0.8)
 
     def test_open_unit_interval(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(500, 2))
         p = _spm(rng.normal(size=2), 0.0, rng.normal(size=2), 0.0)
-        vals = spm_posterior(x, p)
+        vals = psychm_posterior(x, p)
         assert np.all(vals > 0) and np.all(vals < 1)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            SpmParams(
-                selection=LinearParams(w=np.ones(2), b=0.0),
-                target=LinearParams(w=np.ones(3), b=0.0),
-            )
+        with pytest.raises(ValueError, match="selection dim 2 != target dim 3"):
+            _spm(np.ones(2), 0.0, np.ones(3), 0.0)
 
 
 class TestPsychmPosterior:
-    def test_zero_rates_equal_spm(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(1000, 5))
-        sel_w, tgt_w = rng.normal(size=5), rng.normal(size=5)
-        spm = _spm(sel_w, 0.2, tgt_w, -0.4)
-        psy = PsychmParams(
-            selection=LinearParams(w=sel_w, b=0.2),
-            guess=0.0,
-            lapse=0.0,
-            target=LinearParams(w=tgt_w, b=-0.4),
-        )
-        np.testing.assert_array_equal(psychm_posterior(x, psy), spm_posterior(x, spm))
-
     def test_constant_selection_is_elkan_form(self):
         # flat selection weights with guess = c, lapse = 1 - c pin the
         # psychometric factor to the constant c at every point

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from puselect import objective
 from puselect.data import Dataset
-from puselect.models import LinearParams, ModelKind, PsychmParams, SpmParams, sigmoid
+from puselect.models import LinearParams, ModelKind, PsychmParams, sigmoid
 from puselect.objective import (
     LOG_CLAMP,
     RATE_LOGIT_BOUND,
@@ -114,12 +114,15 @@ class TestPacking:
     # Each round trip packs by hand, in the layout the module docstring gives.
     def test_spm_roundtrip(self):
         rng = np.random.default_rng(1)
-        p = SpmParams(
+        p = PsychmParams(
             selection=LinearParams(w=rng.normal(size=4), b=0.3),
+            guess=0.0,
+            lapse=0.0,
             target=LinearParams(w=rng.normal(size=4), b=-1.1),
         )
         theta = np.concatenate([p.selection.w, [p.selection.b], p.target.w, [p.target.b]])
         q = unpack(ModelKind.SPM, theta, 4)
+        assert isinstance(q, PsychmParams) and (q.guess, q.lapse) == (0.0, 0.0)
         np.testing.assert_array_equal(q.selection.w, p.selection.w)
         np.testing.assert_array_equal(q.target.w, p.target.w)
         assert q.selection.b == p.selection.b and q.target.b == p.target.b
@@ -155,13 +158,15 @@ class TestPacking:
         theta = np.concatenate(layout)
         params = unpack(kind, theta, d)
         if kind in (ModelKind.SPM, ModelKind.PSYCHM):
-            assert isinstance(params, SpmParams if kind == ModelKind.SPM else PsychmParams)
+            assert isinstance(params, PsychmParams)
             np.testing.assert_array_equal(params.selection.w, sel_w)
             assert params.selection.b == 0.4
             target = params.target
         else:
             assert isinstance(params, LinearParams)
             target = params
+        if kind == ModelKind.SPM:
+            assert (params.guess, params.lapse) == (0.0, 0.0)
         if kind == ModelKind.PSYCHM:
             assert (params.guess, params.lapse) == constrain_rates(*surrogates)
         np.testing.assert_array_equal(target.w, tgt_w)
@@ -179,8 +184,10 @@ class TestPacking:
 class TestConditionalLogLikelihood:
     def test_perfect_labeled_fit_is_near_zero(self):
         data = Dataset(x=np.zeros((1, 1)), l=np.array([1]))
-        p = SpmParams(
+        p = PsychmParams(
             selection=LinearParams(w=np.zeros(1), b=40.0),
+            guess=0.0,
+            lapse=0.0,
             target=LinearParams(w=np.zeros(1), b=40.0),
         )
         assert abs(conditional_log_likelihood(data, p)) <= 1e-11
@@ -188,8 +195,10 @@ class TestConditionalLogLikelihood:
     def test_hand_evaluated_unlabeled_term(self):
         # s = t = 1/2 at the origin, so the unlabeled term is log(1 - 1/4)
         data = Dataset(x=np.zeros((1, 2)), l=np.array([0]))
-        p = SpmParams(
+        p = PsychmParams(
             selection=LinearParams(w=np.zeros(2), b=0.0),
+            guess=0.0,
+            lapse=0.0,
             target=LinearParams(w=np.zeros(2), b=0.0),
         )
         got = conditional_log_likelihood(data, p)
@@ -234,8 +243,10 @@ class TestConditionalLogLikelihood:
 
     def test_dimension_mismatch(self):
         data = Dataset(x=np.zeros((2, 3)), l=np.array([0, 1]))
-        p = SpmParams(
+        p = PsychmParams(
             selection=LinearParams(w=np.zeros(2), b=0.0),
+            guess=0.0,
+            lapse=0.0,
             target=LinearParams(w=np.zeros(2), b=0.0),
         )
         with pytest.raises(ValueError):

@@ -389,6 +389,16 @@ class TestCliMain:
         assert out_file.exists()
         assert json.loads(out_file.read_text())["model"] == "naive"
 
+    def test_fit_spm_json_states_its_zero_rates(self, tmp_path, capsys):
+        # SPM is PsychM at guess = lapse = 0, and its params say so.
+        csv_path = tmp_path / "gen.csv"
+        assert main(["generate", str(csv_path), *self._flags(tmp_path)]) == 0
+        assert main(["fit", str(csv_path), "--model", "spm", *self._flags(tmp_path)]) == 0
+        text = (tmp_path / "cli_out" / "fit_spm.json").read_text()
+        params = json.loads(text)["params"]
+        assert params["guess"] == params["lapse"] == 0.0
+        assert '"guess": 0.0,' in text and '"lapse": 0.0,' in text
+
     def test_bench_synth_end_to_end(self, tmp_path, capsys):
         code = main(["bench-synth", "--trials", "2", "--jobs", "1", *self._flags(tmp_path)])
         assert code == 0
