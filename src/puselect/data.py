@@ -110,24 +110,29 @@ def write_csv(data: Dataset, path) -> None:
 
 
 def _first_fault(path, width: int, d: int) -> str | None:
-    """Why Python's own parsers reject the rows: the first bad line, "no data rows", or None."""
+    """Why the rows are rejected: the first line that Python's own parsers or
+    the rules of a one-row ``Dataset`` reject, "no data rows", or None."""
     with open(path, errors="replace") as fh:
         rows = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row][1:]
     for lineno, row in rows:
         if len(row) != width:
             return f"line {lineno}: expected {width} fields, got {len(row)}"
         try:
-            [float(v) for v in row[:d]] + [int(v) for v in row[d:]]
+            values = [float(v) for v in row[:d]] + [int(v) for v in row[d:]]
         except ValueError:
             return f"line {lineno}: unparseable value"
+        try:
+            Dataset([values[:d]], [values[d]], values[d + 1:] or None)
+        except ValueError as exc:
+            return f"line {lineno}: {exc}"
     return None if rows else "no data rows"
 
 
 def read_csv(path) -> Dataset:
     """Parse a dataset CSV; malformed content reports the offending line number.
 
-    numpy's C loader parses the rows, flags as integers; if it refuses them,
-    a rescan with Python's parsers names the first bad line.  A byte that
+    numpy's C loader parses the rows, flags as integers; if it or ``Dataset``
+    refuses them, a rescan row by row names the first bad line.  A byte that
     does not decode reads as U+FFFD, which no header or field accepts."""
     with open(path, errors="replace") as fh:
         try:
@@ -151,4 +156,4 @@ def read_csv(path) -> Dataset:
     try:
         return Dataset(np.ascontiguousarray(rows["x"]), rows["l"], rows["y"] if has_y else None)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {_first_fault(path, len(header), d) or exc}") from None

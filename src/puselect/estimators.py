@@ -239,6 +239,8 @@ def fit_elkan(
 ) -> FittedModel:
     """Constant-propensity baseline: learn h(x) = p(l=1|x), then estimate the
     labeling constant as the mean of h over the annotated holdout rows."""
+    if data.n < 2:
+        raise DegenerateDataError("a single row cannot be split into training and holdout rows")
     train, holdout = split(data, 1.0 - _ELKAN_HOLDOUT, seed=_derive_seed(seed, 100))
     labeled = holdout.l == 1
     if not np.any(labeled):

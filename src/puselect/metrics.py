@@ -129,17 +129,6 @@ class SignificanceMatrix:
     def significant(self, better: ModelKind, worse: ModelKind) -> bool:
         return self.pairs[(better, worse)].significant
 
-    def as_json_dict(self) -> dict:
-        return {
-            f"{m1.value}_vs_{m2.value}": {
-                "significant": bool(test.significant),
-                "quantile_value": float(test.quantile_value),
-            }
-            for (m1, m2), test in sorted(
-                self.pairs.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-            )
-        }
-
 
 def significance_matrix(
     per_trial_scores: dict[ModelKind, np.ndarray], quantile_rule: float = 0.05

@@ -125,34 +125,27 @@ def _aggregate(
     models: tuple[ModelKind, ...],
     quantile_rule: float,
 ) -> ResultTable:
-    by_model = {kind: [r for r in reports if r.model == kind] for kind in models}
-    n_trials = {kind: len(rs) for kind, rs in by_model.items()}
-    if len(set(n_trials.values())) != 1:
-        raise ValueError("models have unequal trial counts")
-
+    """Cell stats and significance per metric.  Every unit reports each of
+    ``models``, failed fits included, so a model's scores form one column in
+    unit order, None read as nan.  Significance uses the units where every
+    model has the metric defined, with lower-is-better metrics negated."""
     cells: dict[str, dict[ModelKind, CellStats]] = {}
     significance: dict[str, SignificanceMatrix | None] = {}
     for metric in METRIC_NAMES:
-        table = {}
-        columns = {}
-        for kind in models:
-            vals = np.array([getattr(r, metric) for r in by_model[kind]], dtype=float)  # None is nan
-            defined = vals[~np.isnan(vals)]
+        columns = np.array(
+            [[getattr(r, metric) for r in reports if r.model == kind] for kind in models], dtype=float
+        )
+        cells[metric] = {}
+        for kind, column in zip(models, columns):
+            defined = column[~np.isnan(column)]
             mean = float(np.mean(defined)) if defined.size else None
-            stderr = (
-                float(np.std(defined, ddof=1) / np.sqrt(defined.size)) if defined.size > 1 else 0.0
-            )
-            table[kind] = CellStats(mean=mean, stderr=stderr, count=int(defined.size))
-            columns[kind] = vals
-        cells[metric] = table
+            stderr = float(np.std(defined, ddof=1) / np.sqrt(defined.size)) if defined.size > 1 else 0.0
+            cells[metric][kind] = CellStats(mean=mean, stderr=stderr, count=int(defined.size))
 
-        # Significance uses only trials where every model has the metric
-        # defined, with lower-is-better metrics negated first.
-        stacked = np.vstack([columns[kind] for kind in models])
-        complete = ~np.isnan(stacked).any(axis=0)
+        complete = ~np.isnan(columns).any(axis=0)
         if len(models) > 1 and int(complete.sum()) >= 2:
             sign = -1.0 if metric in LOWER_IS_BETTER else 1.0
-            matrix_input = {kind: sign * columns[kind][complete] for kind in models}
+            matrix_input = dict(zip(models, sign * columns[:, complete]))
             significance[metric] = significance_matrix(matrix_input, quantile_rule)
         else:
             significance[metric] = None
@@ -181,7 +174,10 @@ def _config_json(cfg: ExperimentConfig) -> dict:
 
 
 def _write_outputs(out: Path, mode: str, cfg: ExperimentConfig, table: ResultTable, csv_name: str):
-    significance = {m: None if s is None else s.as_json_dict() for m, s in table.significance.items()}
+    significance = {
+        metric: None if s is None else {f"{a.value}_vs_{b.value}": t for (a, b), t in s.pairs.items()}
+        for metric, s in table.significance.items()
+    }
     payload = {
         "mode": mode,
         "seed": cfg.seed,
@@ -196,8 +192,9 @@ def _write_outputs(out: Path, mode: str, cfg: ExperimentConfig, table: ResultTab
 
 
 def _map_units(task, units: int, jobs: int) -> list:
-    """``[task(u) for u in range(units)]`` on ``min(jobs, units)`` worker
-    processes, inline when that is one; results come back in unit order.
+    """The lists ``task(u)`` returns for ``u`` in ``range(units)``, joined in
+    unit order; run on ``min(jobs, units)`` worker processes, inline when
+    that is one.
 
     Workers are spawned, not forked, so they start from a fresh import and
     inherit no threads or locks of the caller; ``task`` must pickle.  The
@@ -205,20 +202,22 @@ def _map_units(task, units: int, jobs: int) -> list:
     """
     workers = min(jobs, units)
     if workers == 1:
-        return [task(u) for u in range(units)]
+        return [item for u in range(units) for item in task(u)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(task, range(units)))
+        return [item for outcome in pool.map(task, range(units)) for item in outcome]
 
 
 def _train_and_score(
-    train: Dataset, test: Dataset, kinds, protocol: TrainingProtocol, seed: int, unit: int
+    sample: Dataset, kinds, protocol: TrainingProtocol, seed: int, unit: int
 ) -> list[MetricReport]:
-    """Train every model of one trial or resample and score it on the test rows.
-    A model whose data cannot support a fit, or whose loss turns non-finite,
-    is reported as failed, with no scores, and the other models still run."""
+    """Split one trial's or resample's rows into equal train/test halves, then
+    train each model of ``kinds`` and score it on the test half, one report
+    each.  A model whose data cannot support a fit, or whose loss turns
+    non-finite, is reported as failed, with no scores; the others still run."""
+    train, test = split(sample, 0.5, seed=_derive_seed(seed, unit, 1))
     reports = []
     for k_idx, kind in enumerate(kinds):
         try:
@@ -239,18 +238,15 @@ def _train_and_score(
 
 
 def _run_synth_trial(cfg: ExperimentConfig, trial_id: int) -> list[MetricReport]:
-    gen_cfg = replace(cfg.generator, seed=_derive_seed(cfg.seed, trial_id, 0))
-    data = generate(gen_cfg)
-    train, test = split(data, 0.5, seed=_derive_seed(cfg.seed, trial_id, 1))
-    return _train_and_score(train, test, cfg.models, cfg.protocol, cfg.seed, trial_id)
+    data = generate(replace(cfg.generator, seed=_derive_seed(cfg.seed, trial_id, 0)))
+    return _train_and_score(data, cfg.models, cfg.protocol, cfg.seed, trial_id)
 
 
 def run_synth_benchmark(cfg: ExperimentConfig) -> ResultTable:
     """Fresh generator parameters and data every trial; equal train/test split;
     CV-selected penalties per model; scores on the ground-truth test pairs."""
     out = _check_writable(cfg.output_dir)
-    outcomes = _map_units(partial(_run_synth_trial, cfg), cfg.trials, cfg.jobs)
-    reports = [r for trial_reports in outcomes for r in trial_reports]
+    reports = _map_units(partial(_run_synth_trial, cfg), cfg.trials, cfg.jobs)
     table = _aggregate(reports, cfg.models, cfg.quantile_rule)
     _write_outputs(out, "bench-synth", cfg, table, "trials.csv")
     return table
@@ -260,8 +256,7 @@ def _run_resample(
     data: Dataset, kinds: tuple[ModelKind, ...], protocol: TrainingProtocol, seed: int, r: int
 ) -> list[MetricReport]:
     sample = data.subset(_rng(seed, r, 0).integers(0, data.n, size=data.n))
-    train, test = split(sample, 0.5, seed=_derive_seed(seed, r, 1))
-    return _train_and_score(train, test, kinds, protocol, seed, r)
+    return _train_and_score(sample, kinds, protocol, seed, r)
 
 
 def bootstrap_evaluate(
@@ -281,7 +276,7 @@ def bootstrap_evaluate(
     if resamples < 1 or jobs < 1:
         raise ValueError("resamples and jobs must be >= 1")
     task = partial(_run_resample, data, tuple(kinds), protocol, seed)
-    return [rep for reports in _map_units(task, resamples, jobs) for rep in reports]
+    return _map_units(task, resamples, jobs)
 
 
 def run_real_benchmark(cfg: ExperimentConfig, dataset_path) -> ResultTable:

@@ -123,8 +123,12 @@ class TestCsv:
         pytest.param("f0,l\n#1.5,0\n", "line 2: unparseable value", id="hash"),
         pytest.param("f0,l\n1.5,0,\n", "line 2: expected 2 fields, got 3", id="trailing-comma"),
         pytest.param("f0,l\n", "no data rows", id="header-only"),
-        pytest.param("f0,l\nnan,0\n", "x must be finite", id="nan"),
-        pytest.param("f0,l,y\n1.5,0,2\n", "y must be binary", id="y-2"),
+        pytest.param("f0,l\nnan,0\n", "line 2: x must be finite", id="nan"),
+        pytest.param("f0,l\n1.5,0\n-inf,1\n", "line 3: x must be finite", id="-inf"),
+        pytest.param("f0,l,y\n1.5,0,2\n", "line 2: y must be binary", id="y-2"),
+        pytest.param("f0,l\n1.5,3\n", "line 2: l must be binary", id="l-3"),
+        pytest.param("f0,l,y\n1.5,0,0\n2.5,1,0\n", "line 3: annotated rows must be positive (l <= y)",
+                     id="l-above-y"),
         pytest.param("\nf0,l\n1.5,0\n", "line 1: expected header f0,...,f{d-1},l[,y], got ",
                      id="blank-first-line"),
         pytest.param("\r\nf0,l\r\n1.5,0\r\n", "line 1: expected header f0,...,f{d-1},l[,y], got ",
@@ -158,7 +162,7 @@ class TestCsv:
     def test_nfp_violation_rejected_on_read(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,l,y\n1.0,1,0\n")
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="line 2: annotated rows must be positive"):
             read_csv(path)
 
 

@@ -195,6 +195,11 @@ class TestFitElkan:
                 break
         assert failed
 
+    def test_single_row_is_degenerate(self):
+        # A one-row CV fold: the holdout split would leave a part empty.
+        with pytest.raises(DegenerateDataError, match="single row"):
+            fit_elkan(Dataset(x=np.ones((1, 2)), l=np.ones(1)), REG0, ONE_START, seed=0)
+
     def test_calibration_improves_with_sample_size(self):
         truth = scar_params(d=3, c=0.6, tgt_scale=1.5, seed=10)
         errors = {}

@@ -180,12 +180,6 @@ class TestSignificance:
             if forward and np.all(diffs != 0.0) and sorted_quantile(diffs, q) > 0.0:
                 assert not backward
 
-    def test_json_rendering(self):
-        scores = {ModelKind.SPM: np.ones(4), ModelKind.NAIVE: np.zeros(4)}
-        out = significance_matrix(scores, 0.05).as_json_dict()
-        assert set(out) == {"spm_vs_naive", "naive_vs_spm"}
-        assert out["spm_vs_naive"]["significant"] is True
-
     def test_validation(self):
         with pytest.raises(ValueError):
             significance_matrix({ModelKind.SPM: np.ones(3), ModelKind.NAIVE: np.ones(4)}, 0.05)

@@ -217,19 +217,29 @@ class TestFitSingle:
 
 class TestAggregateJson:
     def test_layout_key_by_key(self, tmp_path):
-        # Two models, two trials, AUC undefined for naive: built by hand, no fitting.
-        spm, naive = ModelKind.SPM, ModelKind.NAIVE
+        # Three models, two trials, AUC undefined for naive: built by hand, no fitting.
+        spm, psychm, naive = kinds = ModelKind.SPM, ModelKind.PSYCHM, ModelKind.NAIVE
         reports = [
             MetricReport(kind, t, 0.5, 0.5, None if kind == naive else 0.5, 0.25, c_sel=0.0, c_tgt=0.0)
             for t in range(2)
-            for kind in (spm, naive)
+            for kind in kinds
         ]
         defined, undefined = CellStats(0.5, 0.0, 2), CellStats(None, 0.0, 0)
-        cells = {m: {spm: defined, naive: undefined if m == "auc" else defined} for m in METRIC_NAMES}
-        pairs = {(spm, naive): PairTest(True, 0.125), (naive, spm): PairTest(False, -0.125)}
+        cells = {
+            m: {k: undefined if (m, k) == ("auc", naive) else defined for k in kinds} for m in METRIC_NAMES
+        }
+        # Ordered pairs in the order significance_matrix makes them, each with its own value.
+        pairs = {
+            (spm, psychm): PairTest(True, 0.25),
+            (spm, naive): PairTest(True, 0.125),
+            (psychm, spm): PairTest(False, -0.25),
+            (psychm, naive): PairTest(True, 0.0),
+            (naive, spm): PairTest(False, -0.125),
+            (naive, psychm): PairTest(False, -0.5),
+        }
         significance = {m: None if m == "auc" else SignificanceMatrix(0.05, pairs) for m in METRIC_NAMES}
         table = ResultTable(cells=cells, significance=significance, reports=reports, non_converged_fits=3)
-        cfg = light_config(tmp_path, models=(spm, naive))
+        cfg = light_config(tmp_path, models=kinds)
         runner._write_outputs(tmp_path, "bench-synth", cfg, table, "trials.csv")
         payload = json.loads((tmp_path / "aggregate.json").read_text())
 
@@ -239,15 +249,20 @@ class TestAggregateJson:
         for metric in METRIC_NAMES:
             by_model = payload["results"][metric]
             assert by_model["spm"] == {"mean": 0.5, "stderr": 0.0, "count": 2}
-            assert set(by_model) == {"spm", "naive"}
+            assert set(by_model) == {"spm", "psychm", "naive"}
             assert set(by_model["naive"]) == {"mean", "stderr", "count"}
         assert payload["results"]["auc"]["naive"] == {"mean": None, "stderr": 0.0, "count": 0}
         assert payload["results"]["f1"]["naive"] == {"mean": 0.5, "stderr": 0.0, "count": 2}
         assert payload["significance"]["auc"] is None
-        assert payload["significance"]["f1"] == {
-            "spm_vs_naive": {"significant": True, "quantile_value": 0.125},
-            "naive_vs_spm": {"significant": False, "quantile_value": -0.125},
-        }
+        # All six ordered pairs, in sorted key order.
+        assert list(payload["significance"]["f1"].items()) == [
+            ("naive_vs_psychm", {"significant": False, "quantile_value": -0.5}),
+            ("naive_vs_spm", {"significant": False, "quantile_value": -0.125}),
+            ("psychm_vs_naive", {"significant": True, "quantile_value": 0.0}),
+            ("psychm_vs_spm", {"significant": False, "quantile_value": -0.25}),
+            ("spm_vs_naive", {"significant": True, "quantile_value": 0.125}),
+            ("spm_vs_psychm", {"significant": True, "quantile_value": 0.25}),
+        ]
 
 
 class TestConfigFile:
@@ -458,6 +473,22 @@ class TestCliMain:
         counts = json.loads((out / "aggregate.json").read_text())["results"]["f1"]
         assert {kind: cell["count"] for kind, cell in counts.items()} == {"spm": 2, "naive": 1, "real": 2}
         assert "model naive failed to fit at trial_id 0" in capsys.readouterr().err
+
+    def test_bench_real_survives_a_one_row_elkan_fold(self, tmp_path, capsys):
+        # A resample's two training rows in two folds: each Elkan fold fit
+        # gets one row, too few for its holdout split, so Elkan's cell fails
+        # and the run goes on.
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("f0,l,y\n0.1,1,1\n0.2,0,1\n-0.3,0,0\n0.4,1,1\n")
+        code = main([
+            "bench-real", str(csv_path), "--resamples", "3", "--cv.folds", "2",
+            "--cv.grid_sel", "0", "--cv.grid_tgt", "0,0.1", "--out", str(tmp_path / "cli_out"),
+        ])
+        assert code == 0
+        lines = (tmp_path / "cli_out" / "resamples.csv").read_text().splitlines()[2:]
+        rows = [line.split(",") for line in lines]
+        assert [row for row in rows if row[0] == "elkan"] == [["elkan", str(r)] + [""] * 6 for r in range(3)]
+        assert "model elkan failed to fit at trial_id 0" in capsys.readouterr().err
 
     def test_model_failing_in_every_unit_writes_strict_json(self, tmp_path, capsys, monkeypatch):
         def fails(data, *args):
