@@ -68,11 +68,15 @@ CONFIG_KEYS: dict = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment; unknown and repeated keys are errors."""
+    """Flat key=value lines of UTF-8 text; '#' starts a comment; unknown and
+    repeated keys are errors, and so is a line that is not UTF-8."""
     raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+    with open(path, "rb") as fh:
+        for lineno, text in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = text.decode().split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if not line:
                 continue
             if "=" not in line:

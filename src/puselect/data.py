@@ -109,20 +109,34 @@ def write_csv(data: Dataset, path) -> None:
                    newline="\r\n", header=header, comments="")
 
 
-def _first_fault(path, width: int, d: int) -> str | None:
-    """Why the rows are rejected: the first line that Python's own parsers or
-    the rules of a one-row ``Dataset`` reject, "no data rows", or None."""
+def _parse_rows(lines, dtype) -> np.ndarray:
+    """Data rows as structured records: numpy's C loader, flags as integers."""
+    with warnings.catch_warnings():  # numpy warns on no rows, old numpy on "1.0" as int
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+
+
+def _as_dataset(rows: np.ndarray) -> Dataset:
+    y = rows["y"] if "y" in rows.dtype.names else None
+    return Dataset(np.ascontiguousarray(rows["x"]), rows["l"], y)
+
+
+def _first_fault(path, width: int, dtype) -> str | None:
+    """Why the rows are rejected: the first line that has another field
+    count, that `_parse_rows` rejects on its own, or that the rules of a
+    one-row ``Dataset`` reject; "no data rows", or None."""
     with open(path, errors="replace") as fh:
-        rows = [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row][1:]
-    for lineno, row in rows:
-        if len(row) != width:
-            return f"line {lineno}: expected {width} fields, got {len(row)}"
+        lines = list(enumerate(fh, start=1))[1:]
+    rows = [(n, line, fields) for n, line in lines if (fields := next(csv.reader([line]), []))]
+    for lineno, line, fields in rows:
+        if len(fields) != width:
+            return f"line {lineno}: expected {width} fields, got {len(fields)}"
         try:
-            values = [float(v) for v in row[:d]] + [int(v) for v in row[d:]]
-        except ValueError:
+            row = _parse_rows([line], dtype)
+        except (ValueError, Warning):
             return f"line {lineno}: unparseable value"
         try:
-            Dataset([values[:d]], [values[d]], values[d + 1:] or None)
+            _as_dataset(row)
         except ValueError as exc:
             return f"line {lineno}: {exc}"
     return None if rows else "no data rows"
@@ -131,9 +145,10 @@ def _first_fault(path, width: int, d: int) -> str | None:
 def read_csv(path) -> Dataset:
     """Parse a dataset CSV; malformed content reports the offending line number.
 
-    numpy's C loader parses the rows, flags as integers; if it or ``Dataset``
-    refuses them, a rescan row by row names the first bad line.  A byte that
-    does not decode reads as U+FFFD, which no header or field accepts."""
+    `_parse_rows` parses the rows; if it or ``Dataset`` refuses them, a
+    rescan line by line, with the same parser, names the first bad line.
+    A byte that does not decode reads as U+FFFD, which no header or field
+    accepts."""
     with open(path, errors="replace") as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
@@ -148,12 +163,10 @@ def read_csv(path) -> Dataset:
             )
         dtype = [("x", float, (d,)), ("l", np.int64)] + [("y", np.int64)] * has_y
         try:
-            with warnings.catch_warnings():  # numpy warns on no rows, old numpy on "1.0" as int
-                warnings.simplefilter("error")
-                rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+            rows = _parse_rows(fh, dtype)
         except (ValueError, Warning) as exc:
-            raise ValueError(f"{path}: {_first_fault(path, len(header), d) or exc}") from None
+            raise ValueError(f"{path}: {_first_fault(path, len(header), dtype) or exc}") from None
     try:
-        return Dataset(np.ascontiguousarray(rows["x"]), rows["l"], rows["y"] if has_y else None)
+        return _as_dataset(rows)
     except ValueError as exc:
-        raise ValueError(f"{path}: {_first_fault(path, len(header), d) or exc}") from None
+        raise ValueError(f"{path}: {_first_fault(path, len(header), dtype) or exc}") from None

@@ -276,19 +276,10 @@ def fit_psychm(
 # Hyperparameter selection and the one-call training entry point
 
 
-# Looked up by name at call time, so that a fit replaced on this module
-# (a test double, a tracing wrapper) is the one that runs.
-_FIT_NAMES = {
-    ModelKind.NAIVE: "fit_naive",
-    ModelKind.REAL_ORACLE: "fit_real_oracle",
-    ModelKind.ELKAN: "fit_elkan",
-    ModelKind.SPM: "fit_spm",
-    ModelKind.PSYCHM: "fit_psychm",
-}
-
-
 def _fit_kind(data, kind, reg, protocol: TrainingProtocol, seed, init=None) -> FittedModel:
-    return globals()[_FIT_NAMES[kind]](data, reg, protocol, seed, init)
+    # Looked up by name at call time, so that a fit replaced on this module
+    # (a test double, a tracing wrapper) is the one that runs.
+    return globals()[f"fit_{kind.name.lower()}"](data, reg, protocol, seed, init)
 
 
 def _cv_path(cv: CvConfig, kind: ModelKind) -> list[tuple[tuple[int, ...], float, float]]:

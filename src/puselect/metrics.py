@@ -14,7 +14,6 @@ from .models import ModelKind
 __all__ = [
     "MetricReport",
     "PairTest",
-    "SignificanceMatrix",
     "brier",
     "f1",
     "accuracy",
@@ -115,25 +114,17 @@ def score_report(model_kind: ModelKind, trial_id: int, scores, truth) -> MetricR
 
 @dataclass(frozen=True)
 class PairTest:
+    """For one ordered model pair: is the first one better, and the tested quantile value."""
+
     significant: bool
     quantile_value: float
 
 
-@dataclass(frozen=True)
-class SignificanceMatrix:
-    """Per ordered model pair: is the first one better, and the tested quantile value."""
-
-    quantile_rule: float
-    pairs: dict[tuple[ModelKind, ModelKind], PairTest]
-
-    def significant(self, better: ModelKind, worse: ModelKind) -> bool:
-        return self.pairs[(better, worse)].significant
-
-
 def significance_matrix(
     per_trial_scores: dict[ModelKind, np.ndarray], quantile_rule: float = 0.05
-) -> SignificanceMatrix:
-    """Quantile test of per-trial score differences for every ordered pair.
+) -> dict[tuple[ModelKind, ModelKind], PairTest]:
+    """Quantile test of per-trial score differences for every ordered pair
+    ``(better, worse)``.
 
     Scores must already be oriented higher-is-better.  The first model is
     declared significantly better than the second when the configured
@@ -155,4 +146,4 @@ def significance_matrix(
             diff = vectors[m1] - vectors[m2]
             q = float(np.quantile(diff, quantile_rule))
             pairs[(m1, m2)] = PairTest(significant=q >= 0.0, quantile_value=q)
-    return SignificanceMatrix(quantile_rule=quantile_rule, pairs=pairs)
+    return pairs

@@ -43,7 +43,7 @@ A rate of exactly 0 is out of reach; the fixed-rate layouts below serve it.
 
 The sigmoid product is the psychometric model with guess = lapse = 0, so
 one engine evaluates both: with the rates free (the psychometric layout)
-or fixed (the sigmoid-product layout, at (0, 0) for that model).
+or fixed at (0, 0) (the sigmoid-product layout).
 
 The logistic baselines are the one-factor case, q(x) = t(x):
 
@@ -53,7 +53,8 @@ with t's weights penalized by c_tgt and no selection or rate slots.  The
 naive baseline and Elkan's annotation model fit the flags l; the oracle
 fits the ground-truth classes y in their place.
 
-`unpack` is the one reader of these layouts: every fit turns its
+`make_loss_functions` is the one way into the likelihood, for every kind,
+and `unpack` the one reader of these layouts: every fit turns its
 optimizer's vector into model parameters through it, whatever the kind.
 """
 
@@ -76,9 +77,6 @@ __all__ = [
     "unpack",
     "free_param_length",
     "label_column",
-    "conditional_log_likelihood",
-    "loss",
-    "loss_gradient",
     "make_loss_functions",
 ]
 
@@ -132,22 +130,22 @@ def unconstrain_rates(guess: float, lapse: float) -> tuple[float, float]:
     return math.log(guess / span), math.log(lapse / span)
 
 
-# Per model kind: the number of sigmoid factors, the (guess, lapse) rates,
-# fixed or None when their surrogates are free parameters, and the label
-# column the likelihood fits.  The sigmoid product is the psychometric model
-# with its rates fixed at (0, 0); one factor has no rate map at all.
+# Per model kind: the number of sigmoid factors, whether the (guess, lapse)
+# rates are free parameters (through their surrogates) or fixed at (0, 0),
+# and the label column the likelihood fits.  The sigmoid product is the
+# psychometric model with its rates fixed; one factor has no rate map at all.
 _LAYOUTS = {
-    ModelKind.PSYCHM: (2, None, "l"),
-    ModelKind.SPM: (2, (0.0, 0.0), "l"),
-    ModelKind.NAIVE: (1, (0.0, 0.0), "l"),
-    ModelKind.ELKAN: (1, (0.0, 0.0), "l"),
-    ModelKind.REAL_ORACLE: (1, (0.0, 0.0), "y"),
+    ModelKind.PSYCHM: (2, True, "l"),
+    ModelKind.SPM: (2, False, "l"),
+    ModelKind.NAIVE: (1, False, "l"),
+    ModelKind.ELKAN: (1, False, "l"),
+    ModelKind.REAL_ORACLE: (1, False, "y"),
 }
 
 
 def free_param_length(kind: ModelKind, dim: int) -> int:
-    factors, rates, _ = _LAYOUTS[kind]
-    return factors * (dim + 1) + (2 if rates is None else 0)
+    factors, free_rates, _ = _LAYOUTS[kind]
+    return factors * (dim + 1) + 2 * free_rates
 
 
 def label_column(kind: ModelKind) -> str:
@@ -163,30 +161,30 @@ def unpack(kind: ModelKind, theta: np.ndarray, dim: int) -> LinearParams | Psych
     n_free = free_param_length(kind, dim)
     if theta.shape != (n_free,):
         raise ValueError(f"expected {n_free} free parameters, got {theta.shape}")
-    factors, rates, _ = _LAYOUTS[kind]
+    factors, free_rates, _ = _LAYOUTS[kind]
     target = LinearParams(w=theta[-dim - 1 : -1], b=theta[-1])
     if factors == 1:
         return target
     selection = LinearParams(w=theta[:dim], b=theta[dim])
-    guess, lapse = rates or constrain_rates(theta[dim + 1], theta[dim + 2])
+    guess, lapse = constrain_rates(theta[dim + 1], theta[dim + 2]) if free_rates else (0.0, 0.0)
     return PsychmParams(selection=selection, guess=guess, lapse=lapse, target=target)
 
 
 class _Engine:
     """Loss value and gradient for one (dataset, penalties, layout).
 
-    The layout is one of ``_LAYOUTS``' (factors, rates, label) triples.
-    With two factors, ``rates`` is None when the guess/lapse surrogates are
-    free parameters (the psychometric layout) and a fixed (guess, lapse)
-    pair otherwise (the layout without surrogate slots); the sigmoid product
-    is the pair (0, 0).  One factor is a logistic regression of the label
-    column: its only penalty is the target's.
+    The layout is one of ``_LAYOUTS``' (factors, free_rates, label)
+    triples.  With two factors, ``free_rates`` is true when the guess/lapse
+    surrogates are free parameters (the psychometric layout); otherwise the
+    rates are fixed at (0, 0), the sigmoid product, with no surrogate slots.
+    One factor is a logistic regression of the label column: its only
+    penalty is the target's.
 
     Every call is one pass over all rows, factor-major.  A row's
     probability of a positive label is q = p_0 t, with p_0 the rate-mapped
-    selection (t alone with one factor), and the log is taken of
-    base + sign * q per row, with (base, sign) = (0, 1) for a positive row
-    and (1, -1) otherwise: exactly q or 1 - q.  The
+    selection, s_0 itself at fixed rates (t alone with one factor), and the
+    log is taken of base + sign * q per row, with (base, sign) = (0, 1) for
+    a positive row and (1, -1) otherwise: exactly q or 1 - q.  The
     rows of x are kept transposed with a row of ones appended, so one
     matmul forms every factor's affine score, bias included, and one more
     gives all weight and bias gradients.  `value_and_grad` is the one
@@ -202,7 +200,7 @@ class _Engine:
     def __init__(self, data: Dataset, reg: RegConfig, layout):
         if data.n < 1:
             raise ValueError("dataset is empty")
-        n_factors, self.rates, label = layout
+        n_factors, self.free_rates, label = layout
         labels = getattr(data, label)
         if labels is None:
             raise ValueError("the oracle's likelihood needs ground-truth classes y")
@@ -213,14 +211,12 @@ class _Engine:
         if n_factors == 1:
             self.factors = ((0, reg.c_tgt),)
         else:
-            tgt = d + 1 if self.rates is not None else d + 3
+            tgt = d + 3 if self.free_rates else d + 1
             self.factors = ((0, reg.c_sel), (tgt, reg.c_tgt))
         self.n_free = self.factors[-1][0] + d + 1
         # theta[self.gather] holds one factor per row: its weights, then its bias.
         offsets = np.array([offset for offset, _ in self.factors])
         self.gather = offsets[:, None] + np.arange(d + 1)
-        # guess + span * s is the identity at (0, 0): skip it there.
-        self.mapped = self.rates != (0.0, 0.0)
         n = data.n
         self.xt = np.ones((d + 1, n))
         self.xt[:d] = data.x.T
@@ -229,11 +225,12 @@ class _Engine:
         self.base = np.where(annotated, 0.0, 1.0)
         # Per factor and row: z the affine scores, then the derivative of
         # the log-likelihood by them; s the sigmoids; c 1 - s.  p0 is the
-        # rate-mapped selection, or s[0] itself.  Per row: arg what the log
+        # rate-mapped selection, or s[0] itself at fixed rates, where
+        # guess + span * s is the identity.  Per row: arg what the log
         # is taken of; clipped it clamped, then the derivative of its log
         # by q; dq the derivative by each factor's probability.
         self.z, self.s, self.c = (np.empty((n_factors, n)) for _ in range(3))
-        self.p0 = np.empty(n) if self.mapped else self.s[0]
+        self.p0 = np.empty(n) if self.free_rates else self.s[0]
         self.arg, self.clipped, self.logs = (np.empty(n) for _ in range(3))
         self.dq = np.empty((n_factors, n)) if n_factors == 2 else self.clipped[None]
         self.outside = np.empty(n, dtype=bool)
@@ -242,15 +239,11 @@ class _Engine:
         """Data log-likelihood and (guess, lapse) rates at a checked theta;
         leaves the per-row intermediates in the work arrays."""
         d = self.d
-        if self.rates is None:
-            guess, lapse = constrain_rates(theta[d + 1], theta[d + 2])
-        else:
-            guess, lapse = self.rates
-        span = 1.0 - guess - lapse
+        guess, lapse = constrain_rates(theta[d + 1], theta[d + 2]) if self.free_rates else (0.0, 0.0)
 
         s = _sigmoid_into(np.matmul(theta[self.gather], self.xt, out=self.z), self.s)
-        if self.mapped:
-            np.multiply(span, s[0], out=self.p0)
+        if self.free_rates:
+            np.multiply(1.0 - guess - lapse, s[0], out=self.p0)
             np.add(guess, self.p0, out=self.p0)
         q = s[0] if len(self.factors) == 1 else np.multiply(self.p0, s[1], out=self.arg)
         arg = np.multiply(self.sign, q, out=self.arg)
@@ -277,7 +270,7 @@ class _Engine:
         np.multiply(dq, s, out=dz)
         np.subtract(1.0, s, out=c)
         np.multiply(dz, c, out=dz)
-        if self.mapped:
+        if self.free_rates:
             dz[0] *= 1.0 - guess - lapse
 
         d = self.d
@@ -289,7 +282,7 @@ class _Engine:
                 w = theta[offset : offset + d]
                 value += penalty * float(w @ w)
                 grad[offset : offset + d] += 2.0 * penalty * w
-        if self.rates is None:
+        if self.free_rates:
             # dp_0 / dguess = 1 - s_0 and dp_0 / dlapse = -s_0, chained
             # through the softmax Jacobian (module docstring); a surrogate
             # past its clip has derivative 0.
@@ -307,26 +300,3 @@ def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
     value is the first half of value_and_grad."""
     value_and_grad = _Engine(data, reg, _LAYOUTS[kind]).value_and_grad
     return lambda theta: value_and_grad(theta)[0], value_and_grad
-
-
-def conditional_log_likelihood(data: Dataset, params: PsychmParams) -> float:
-    """Log-likelihood of the observed annotation flags given the features.
-
-    The rates are fixed at the parameters' own (guess, lapse), which may lie
-    on the boundary guess + lapse = 1 that the surrogate map cannot reach.
-    """
-    if data.dim != params.dim:
-        raise ValueError(f"dataset dim {data.dim} != parameter dim {params.dim}")
-    sel, tgt = params.selection, params.target
-    theta = np.concatenate([sel.w, [sel.b], tgt.w, [tgt.b]])
-    return -_Engine(data, RegConfig(), (2, (params.guess, params.lapse), "l")).value_and_grad(theta)[0]
-
-
-def loss(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> float:
-    """Negative log-likelihood plus the weight penalties."""
-    return _Engine(data, reg, _LAYOUTS[kind]).value_and_grad(theta)[0]
-
-
-def loss_gradient(data: Dataset, kind: ModelKind, theta: np.ndarray, reg: RegConfig) -> np.ndarray:
-    """Gradient of :func:`loss` with respect to the free parameter vector."""
-    return _Engine(data, reg, _LAYOUTS[kind]).value_and_grad(theta)[1]

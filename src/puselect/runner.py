@@ -25,7 +25,7 @@ from .metrics import (
     LOWER_IS_BETTER,
     METRIC_NAMES,
     MetricReport,
-    SignificanceMatrix,
+    PairTest,
     brier,
     score_report,
     significance_matrix,
@@ -83,7 +83,7 @@ class ResultTable:
     """Aggregate of per-trial reports: one stats cell per (metric, model)."""
 
     cells: dict[str, dict[ModelKind, CellStats]]
-    significance: dict[str, SignificanceMatrix | None]
+    significance: dict[str, dict[tuple[ModelKind, ModelKind], PairTest] | None]
     reports: list[MetricReport]
     non_converged_fits: int = 0
 
@@ -130,7 +130,7 @@ def _aggregate(
     unit order, None read as nan.  Significance uses the units where every
     model has the metric defined, with lower-is-better metrics negated."""
     cells: dict[str, dict[ModelKind, CellStats]] = {}
-    significance: dict[str, SignificanceMatrix | None] = {}
+    significance: dict[str, dict[tuple[ModelKind, ModelKind], PairTest] | None] = {}
     for metric in METRIC_NAMES:
         columns = np.array(
             [[getattr(r, metric) for r in reports if r.model == kind] for kind in models], dtype=float
@@ -175,7 +175,7 @@ def _config_json(cfg: ExperimentConfig) -> dict:
 
 def _write_outputs(out: Path, mode: str, cfg: ExperimentConfig, table: ResultTable, csv_name: str):
     significance = {
-        metric: None if s is None else {f"{a.value}_vs_{b.value}": t for (a, b), t in s.pairs.items()}
+        metric: None if s is None else {f"{a.value}_vs_{b.value}": t for (a, b), t in s.items()}
         for metric, s in table.significance.items()
     }
     payload = {
@@ -335,15 +335,18 @@ def fit_single(cfg: ExperimentConfig, dataset_path, kind: ModelKind, out_file) -
 
     If the dataset has a generator sidecar JSON next to it, the report adds
     the cosine similarity between fitted and true target weights; a JSON
-    there that is not a sidecar of its dimension is an error, raised before any fit.
+    there that is not a sidecar of its dimension is an error, raised before any fit,
+    as is a dataset without the label column the model fits.
     """
     dataset_path, out_file = Path(dataset_path), Path(out_file)
     data = read_csv(dataset_path)
+    label = getattr(data, label_column(kind))
+    if label is None:
+        raise ValueError(f"{dataset_path}: model {kind.value} needs a y column")
     true_w = _true_target_weights(dataset_path, data.dim)
     _check_writable(out_file.parent)
     model = train_model(data, kind, cfg.protocol, seed=cfg.seed)
 
-    label = getattr(data, label_column(kind))
     training = {"brier_annotation": brier(model.annotation_probability(data.x), label)}
     if data.y is not None:
         rep = score_report(kind, 0, model.score(data.x), data.y)

@@ -29,7 +29,7 @@ from puselect.models import (
     psychm_posterior,
     sigmoid,
 )
-from puselect.objective import RegConfig, free_param_length, loss, loss_gradient
+from puselect.objective import RegConfig, free_param_length, make_loss_functions
 from puselect.runner import ExperimentConfig, _derive_seed, bootstrap_evaluate, run_synth_benchmark
 from puselect.synth import GeneratorConfig, generate
 
@@ -48,10 +48,10 @@ def report(criterion: str, passed: bool, detail: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def benchmark_run(tmp_path_factory):
+def benchmark_config(tmp_path_factory):
     """100 trials under the default synthetic generator settings."""
     out = tmp_path_factory.mktemp("bench100")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         generator=GeneratorConfig(),  # n=5000, d=5, rho1=10, rho2=1, k=5, rates 0.05
         protocol=BENCHMARK_PROTOCOL,
         models=ALL_KINDS,
@@ -60,7 +60,11 @@ def benchmark_run(tmp_path_factory):
         jobs=max(1, os.cpu_count() or 1),
         output_dir=str(out),
     )
-    return run_synth_benchmark(cfg)
+
+
+@pytest.fixture(scope="module")
+def benchmark_run(benchmark_config):
+    return run_synth_benchmark(benchmark_config)
 
 
 # Mean F1 of the paper's Table 1.  The generator settings behind these
@@ -200,9 +204,9 @@ def sorted_order_statistic(values, q):
 
 
 class TestCriterion2SignificanceProcedure:
-    def test_quantile_test_and_oracle_agreement(self, benchmark_run):
+    def test_quantile_test_and_oracle_agreement(self, benchmark_config, benchmark_run):
         matrix = benchmark_run.significance["f1"]
-        spm_beats_naive = matrix.significant(ModelKind.SPM, ModelKind.NAIVE)
+        spm_beats_naive = matrix[(ModelKind.SPM, ModelKind.NAIVE)].significant
 
         per_model = {
             k: np.array([r.f1 for r in benchmark_run.reports if r.model == k]) for k in ALL_KINDS
@@ -213,8 +217,8 @@ class TestCriterion2SignificanceProcedure:
                 if m1 == m2:
                     continue
                 diffs = per_model[m1] - per_model[m2]
-                oracle_q = sorted_order_statistic(diffs, matrix.quantile_rule)
-                test = matrix.pairs[(m1, m2)]
+                oracle_q = sorted_order_statistic(diffs, benchmark_config.quantile_rule)
+                test = matrix[(m1, m2)]
                 agree &= test.significant == (oracle_q >= 0.0)
                 agree &= abs(test.quantile_value - oracle_q) <= 1e-12
 
@@ -244,14 +248,13 @@ class TestCriterion3GradientCorrectness:
                 theta[d + 1] = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
                 theta[d + 2] = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
             reg = RegConfig(c_sel=float(rng.uniform(0, 2)), c_tgt=float(rng.uniform(0, 2)))
-            grad = loss_gradient(data, kind, theta, reg)
+            value, value_and_grad = make_loss_functions(data, kind, reg)
+            grad = value_and_grad(theta)[1]
             step = 1e-5
             for j in range(theta.size):
                 bump = np.zeros_like(theta)
                 bump[j] = step
-                fd = (
-                    loss(data, kind, theta + bump, reg) - loss(data, kind, theta - bump, reg)
-                ) / (2 * step)
+                fd = (value(theta + bump) - value(theta - bump)) / (2 * step)
                 if abs(fd) >= 1e-8:
                     rel = abs(grad[j] - fd) / abs(fd)
                     worst = max(worst, rel)

@@ -134,6 +134,8 @@ class TestCsv:
         pytest.param("\r\nf0,l\r\n1.5,0\r\n", "line 1: expected header f0,...,f{d-1},l[,y], got ",
                      id="blank-first-line-crlf"),
         pytest.param(b"f0,l\n1.0\xe9,1\n", "line 2: unparseable value", id="not-utf-8"),
+        pytest.param("f0,l\n1_0,0\n", "line 2: unparseable value", id="digit-grouping"),
+        pytest.param("f0,l\n\u0661,0\n", "line 2: unparseable value", id="arabic-indic-digit"),
     ])
     def test_accepts_and_rejects(self, tmp_path, text, expected):
         path = tmp_path / "data.csv"

@@ -28,7 +28,6 @@ from puselect.models import (
 )
 from puselect.objective import (
     RegConfig,
-    loss,
     make_loss_functions,
     unpack,
 )
@@ -274,7 +273,7 @@ class TestFitSpm:
         rng = np.random.default_rng(23)
         tgt_w, tgt_b = rng.normal(size=2), 0.3
         theta = np.concatenate([np.zeros(2), [40.0], tgt_w, [tgt_b]])
-        spm_data_term = loss(data, ModelKind.SPM, theta, REG0)
+        spm_data_term = make_loss_functions(data, ModelKind.SPM, REG0)[1](theta)[0]
         t = sigmoid(data.x @ tgt_w + tgt_b)
         bce = -float(np.sum(data.l * np.log(t) + (1 - data.l) * np.log(1.0 - t)))
         assert abs(spm_data_term - bce) <= 1e-8 * data.n

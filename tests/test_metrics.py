@@ -136,13 +136,13 @@ class TestSignificance:
         scores = {ModelKind.SPM: np.ones(10), ModelKind.NAIVE: np.zeros(10)}
         for q in (0.05, 0.45, 0.5, 0.95):
             matrix = significance_matrix(scores, q)
-            assert matrix.significant(ModelKind.SPM, ModelKind.NAIVE)
-            assert not matrix.significant(ModelKind.NAIVE, ModelKind.SPM)
+            assert matrix[(ModelKind.SPM, ModelKind.NAIVE)].significant
+            assert not matrix[(ModelKind.NAIVE, ModelKind.SPM)].significant
 
     def test_strict_anti_dominance(self):
         scores = {ModelKind.SPM: np.zeros(6), ModelKind.NAIVE: np.ones(6)}
         matrix = significance_matrix(scores, 0.05)
-        assert not matrix.significant(ModelKind.SPM, ModelKind.NAIVE)
+        assert not matrix[(ModelKind.SPM, ModelKind.NAIVE)].significant
 
     def test_matches_sorted_order_statistic_oracle(self):
         rng = np.random.default_rng(2)
@@ -152,7 +152,7 @@ class TestSignificance:
         scores = {ModelKind.SPM: diffs, ModelKind.NAIVE: np.zeros(500)}
         for q in (0.01, 0.05, 0.0601, 0.25, 0.45):
             matrix = significance_matrix(scores, q)
-            test = matrix.pairs[(ModelKind.SPM, ModelKind.NAIVE)]
+            test = matrix[(ModelKind.SPM, ModelKind.NAIVE)]
             oracle_q = sorted_quantile(diffs, q)
             assert test.significant == (oracle_q >= 0.0)
             assert abs(test.quantile_value - oracle_q) <= 1e-12
@@ -162,7 +162,7 @@ class TestSignificance:
         diffs = rng.normal(size=50)
         scores = {ModelKind.SPM: diffs, ModelKind.ELKAN: np.zeros(50)}
         matrix = significance_matrix(scores, 0.0)
-        assert matrix.significant(ModelKind.SPM, ModelKind.ELKAN) == (diffs.min() >= 0.0)
+        assert matrix[(ModelKind.SPM, ModelKind.ELKAN)].significant == (diffs.min() >= 0.0)
 
     def test_one_direction_at_most(self):
         rng = np.random.default_rng(4)
@@ -173,9 +173,9 @@ class TestSignificance:
             }
             q = float(rng.uniform(0.02, 0.48))
             matrix = significance_matrix(scores, q)
-            forward = matrix.significant(ModelKind.SPM, ModelKind.NAIVE)
+            forward = matrix[(ModelKind.SPM, ModelKind.NAIVE)].significant
             matrix_rev = significance_matrix(scores, 1.0 - q)
-            backward = matrix_rev.significant(ModelKind.NAIVE, ModelKind.SPM)
+            backward = matrix_rev[(ModelKind.NAIVE, ModelKind.SPM)].significant
             diffs = scores[ModelKind.SPM] - scores[ModelKind.NAIVE]
             if forward and np.all(diffs != 0.0) and sorted_quantile(diffs, q) > 0.0:
                 assert not backward

@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 
 from puselect import objective
 from puselect.data import Dataset
-from puselect.models import LinearParams, ModelKind, PsychmParams, sigmoid
+from puselect.models import LinearParams, ModelKind, PsychmParams, psychm_posterior, sigmoid
 from puselect.objective import (
     LOG_CLAMP,
     RATE_LOGIT_BOUND,
     RegConfig,
-    conditional_log_likelihood,
     constrain_rates,
     free_param_length,
-    loss,
-    loss_gradient,
     make_loss_functions,
     unconstrain_rates,
     unpack,
@@ -47,6 +44,28 @@ ENGINE_KINDS = [ModelKind.SPM, ModelKind.PSYCHM, ModelKind.NAIVE, ModelKind.REAL
 
 def _random_theta(rng, kind, d):
     return rng.normal(0.0, 1.0, size=free_param_length(kind, d))
+
+
+def _loss_and_grad(data, kind, theta, reg):
+    """The loss and its gradient at ``theta`` from a fresh engine."""
+    return make_loss_functions(data, kind, reg)[1](theta)
+
+
+def _spm_log_likelihood(data, params):
+    """The log-likelihood of two-factor parameters at rates (0, 0), on the
+    sigmoid-product layout packed by hand."""
+    assert (params.guess, params.lapse) == (0.0, 0.0)
+    sel, tgt = params.selection, params.target
+    theta = np.concatenate([sel.w, [sel.b], tgt.w, [tgt.b]])
+    return -_loss_and_grad(data, ModelKind.SPM, theta, RegConfig())[0]
+
+
+def _clamped_log_likelihood(data, params):
+    """The log-likelihood of ``params`` summed row by row from
+    ``psychm_posterior``, each row's probability clamped as the engine does."""
+    q = psychm_posterior(data.x, params)
+    rows = np.where(data.l == 1, q, 1.0 - q)
+    return float(np.sum(np.log(np.clip(rows, LOG_CLAMP, 1.0 - LOG_CLAMP))))
 
 
 class TestRateReparameterization:
@@ -105,9 +124,10 @@ class TestRateReparameterization:
         theta[3:5] = surrogates
         params = unpack(ModelKind.PSYCHM, theta, 2)
         assert (params.guess, params.lapse) == (guess, lapse)
-        value = loss(data, ModelKind.PSYCHM, theta, RegConfig())
-        assert np.isfinite(value) and value == -conditional_log_likelihood(data, params)
-        assert np.all(np.isfinite(loss_gradient(data, ModelKind.PSYCHM, theta, RegConfig())))
+        value, grad = _loss_and_grad(data, ModelKind.PSYCHM, theta, RegConfig())
+        assert np.isfinite(value)
+        np.testing.assert_allclose(value, -_clamped_log_likelihood(data, params), rtol=1e-12)
+        assert np.all(np.isfinite(grad))
 
 
 class TestPacking:
@@ -190,7 +210,7 @@ class TestConditionalLogLikelihood:
             lapse=0.0,
             target=LinearParams(w=np.zeros(1), b=40.0),
         )
-        assert abs(conditional_log_likelihood(data, p)) <= 1e-11
+        assert abs(_spm_log_likelihood(data, p)) <= 1e-11
 
     def test_hand_evaluated_unlabeled_term(self):
         # s = t = 1/2 at the origin, so the unlabeled term is log(1 - 1/4)
@@ -201,7 +221,7 @@ class TestConditionalLogLikelihood:
             lapse=0.0,
             target=LinearParams(w=np.zeros(2), b=0.0),
         )
-        got = conditional_log_likelihood(data, p)
+        got = _spm_log_likelihood(data, p)
         assert abs(got - np.log(0.75)) <= 1e-15
         assert abs(got - (-0.2876820724517809)) <= 1e-15
 
@@ -210,8 +230,8 @@ class TestConditionalLogLikelihood:
         data = _random_dataset(rng, n=37, d=3)
         doubled = Dataset(x=np.vstack([data.x, data.x]), l=np.concatenate([data.l, data.l]))
         p = unpack(ModelKind.SPM, _random_theta(rng, ModelKind.SPM, 3), 3)
-        one = conditional_log_likelihood(data, p)
-        two = conditional_log_likelihood(doubled, p)
+        one = _spm_log_likelihood(data, p)
+        two = _spm_log_likelihood(doubled, p)
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-13)
 
     def test_reorder_invariance(self):
@@ -219,38 +239,35 @@ class TestConditionalLogLikelihood:
         data = _random_dataset(rng, n=50, d=2)
         perm = rng.permutation(50)
         shuffled = Dataset(x=data.x[perm], l=data.l[perm])
-        p = unpack(ModelKind.PSYCHM, _random_theta(rng, ModelKind.PSYCHM, 2), 2)
+        theta = _random_theta(rng, ModelKind.PSYCHM, 2)
         np.testing.assert_allclose(
-            conditional_log_likelihood(data, p),
-            conditional_log_likelihood(shuffled, p),
+            _loss_and_grad(data, ModelKind.PSYCHM, theta, RegConfig())[0],
+            _loss_and_grad(shuffled, ModelKind.PSYCHM, theta, RegConfig())[0],
             rtol=1e-12,
         )
-
-    def test_boundary_rates_evaluate(self):
-        # guess + lapse == 1 pins the selection to the constant guess rate
-        data = Dataset(x=np.zeros((1, 1)), l=np.array([1]))
-        p = PsychmParams(
-            selection=LinearParams(w=np.zeros(1), b=0.0),
-            guess=0.4,
-            lapse=0.6,
-            target=LinearParams(w=np.zeros(1), b=0.0),
-        )
-        assert abs(conditional_log_likelihood(data, p) - (np.log(0.4) + np.log(0.5))) <= 1e-14
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((0, 2)), l=np.zeros(0))
 
-    def test_dimension_mismatch(self):
-        data = Dataset(x=np.zeros((2, 3)), l=np.array([0, 1]))
-        p = PsychmParams(
-            selection=LinearParams(w=np.zeros(2), b=0.0),
-            guess=0.0,
-            lapse=0.0,
-            target=LinearParams(w=np.zeros(2), b=0.0),
-        )
-        with pytest.raises(ValueError):
-            conditional_log_likelihood(data, p)
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_input_checks(self, kind):
+        # A vector of another length, such as the layout's for another
+        # feature count, is named with the count the layout expects; the
+        # oracle cannot be built on data without ground-truth classes.
+        data = Dataset(x=np.zeros((2, 3)), l=np.array([0, 1]), y=np.array([0, 1]))
+        n_free = free_param_length(kind, 3)
+        value, value_and_grad = make_loss_functions(data, kind, RegConfig())
+        for theta in (np.zeros(free_param_length(kind, 2)), np.zeros(n_free + 1), np.zeros((1, n_free))):
+            for call in (value, value_and_grad):
+                with pytest.raises(ValueError, match=f"expected {n_free} free parameters"):
+                    call(theta)
+        no_y = Dataset(x=data.x, l=data.l)
+        if kind == ModelKind.REAL_ORACLE:
+            with pytest.raises(ValueError, match="ground-truth classes y"):
+                make_loss_functions(no_y, kind, RegConfig())
+        else:
+            assert np.isfinite(make_loss_functions(no_y, kind, RegConfig())[0](np.zeros(n_free)))
 
 
 class TestLoss:
@@ -259,21 +276,26 @@ class TestLoss:
         data = _random_dataset(rng, n=25, d=4)
         theta = _random_theta(rng, ModelKind.PSYCHM, 4)
         params = unpack(ModelKind.PSYCHM, theta, 4)
-        assert loss(data, ModelKind.PSYCHM, theta, RegConfig()) == -conditional_log_likelihood(
-            data, params
+        np.testing.assert_allclose(
+            _loss_and_grad(data, ModelKind.PSYCHM, theta, RegConfig())[0],
+            -_clamped_log_likelihood(data, params),
+            rtol=1e-12,
         )
 
     def test_zero_weights_have_zero_penalty(self):
         data = Dataset(x=np.array([[1.0, 2.0]]), l=np.array([1]))
         theta = np.array([0.0, 0.0, 0.3, 0.0, 0.0, -0.2])
         reg = RegConfig(c_sel=5.0, c_tgt=7.0)
-        assert loss(data, ModelKind.SPM, theta, reg) == loss(data, ModelKind.SPM, theta, RegConfig())
+        assert _loss_and_grad(data, ModelKind.SPM, theta, reg)[0] == _loss_and_grad(
+            data, ModelKind.SPM, theta, RegConfig()
+        )[0]
 
     def test_hand_computed_penalty(self):
         data = Dataset(x=np.zeros((1, 2)), l=np.array([1]))
         theta = np.array([3.0, 4.0, 0.0, 1.0, 0.0, 0.0])  # sel.w=(3,4), tgt.w=(1,0)
         reg = RegConfig(c_sel=1.0, c_tgt=2.0)
-        penalty = loss(data, ModelKind.SPM, theta, reg) - loss(data, ModelKind.SPM, theta, RegConfig())
+        value = _loss_and_grad(data, ModelKind.SPM, theta, reg)[0]
+        penalty = value - _loss_and_grad(data, ModelKind.SPM, theta, RegConfig())[0]
         assert penalty == 27.0
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
@@ -288,8 +310,8 @@ class TestLoss:
             data = _random_dataset(rng, n=15, d=2)
             theta = _random_theta(rng, ModelKind.SPM, 2)
             reg = RegConfig(c_sel=float(rng.uniform(0, 3)), c_tgt=float(rng.uniform(0, 3)))
-            baseline = -conditional_log_likelihood(data, unpack(ModelKind.SPM, theta, 2))
-            value = loss(data, ModelKind.SPM, theta, reg)
+            baseline = -_spm_log_likelihood(data, unpack(ModelKind.SPM, theta, 2))
+            value = _loss_and_grad(data, ModelKind.SPM, theta, reg)[0]
             assert value >= baseline
             penalty = value - baseline
             assert (penalty == 0.0) == (
@@ -312,15 +334,15 @@ class TestLoss:
             t = sigmoid(data.x @ params.target.w + params.target.b)
             q = s * t
             assert q.min() > 1e-6 and q.max() < 1 - 1e-6
-            clamped = loss(data, ModelKind.SPM, theta, reg), loss_gradient(data, ModelKind.SPM, theta, reg)
+            clamped = _loss_and_grad(data, ModelKind.SPM, theta, reg)
             with monkeypatch.context() as m:
                 m.setattr(objective, "LOG_CLAMP", 0.0)
-                raw = loss(data, ModelKind.SPM, theta, reg), loss_gradient(data, ModelKind.SPM, theta, reg)
+                raw = _loss_and_grad(data, ModelKind.SPM, theta, reg)
             assert clamped[0] == raw[0]
             np.testing.assert_array_equal(clamped[1], raw[1])
             pos = data.l == 1
             by_hand = float(np.sum(np.log(q[pos]))) + float(np.sum(np.log(1.0 - q[~pos])))
-            np.testing.assert_allclose(conditional_log_likelihood(data, params), by_hand, rtol=1e-12)
+            np.testing.assert_allclose(_spm_log_likelihood(data, params), by_hand, rtol=1e-12)
 
 
 class FiniteDifferenceMixin:
@@ -329,8 +351,8 @@ class FiniteDifferenceMixin:
     step = 1e-5
 
     def check_gradient(self, data, kind, theta, reg):
-        value = lambda t: loss(data, kind, t, reg)
-        self.check_against_differences(value, loss_gradient(data, kind, theta, reg), theta, kind)
+        value, value_and_grad = make_loss_functions(data, kind, reg)
+        self.check_against_differences(value, value_and_grad(theta)[1], theta, kind)
 
     def check_against_differences(self, value, grad, theta, context):
         for j in range(theta.size):
@@ -367,7 +389,7 @@ class TestLossGradient(FiniteDifferenceMixin):
         cfg = OptimizerConfig(grad_tol=1e-7, max_iters=3000)
         result = minimize(value, value_and_grad, 0.1 * np.ones(6), cfg)
         assert result.converged and result.iterations < 20
-        grad = loss_gradient(data, ModelKind.SPM, result.params, reg)
+        grad = _loss_and_grad(data, ModelKind.SPM, result.params, reg)[1]
         assert np.linalg.norm(grad) <= 1e-4
         step = 1e-5
         hessian = np.array([
@@ -385,18 +407,15 @@ class TestLossGradient(FiniteDifferenceMixin):
         theta = _random_theta(rng, ModelKind.PSYCHM, 3)
         reg = RegConfig(c_sel=1.5, c_tgt=0.5)
         reg0 = RegConfig()
+        grad = lambda rows, r: _loss_and_grad(rows, ModelKind.PSYCHM, theta, r)[1]
         np.testing.assert_allclose(
-            loss_gradient(doubled, ModelKind.PSYCHM, theta, reg0),
-            2.0 * loss_gradient(data, ModelKind.PSYCHM, theta, reg0),
+            grad(doubled, reg0),
+            2.0 * grad(data, reg0),
             rtol=1e-12,
             atol=1e-12,
         )
-        pen_single = loss_gradient(data, ModelKind.PSYCHM, theta, reg) - loss_gradient(
-            data, ModelKind.PSYCHM, theta, reg0
-        )
-        pen_double = loss_gradient(doubled, ModelKind.PSYCHM, theta, reg) - loss_gradient(
-            doubled, ModelKind.PSYCHM, theta, reg0
-        )
+        pen_single = grad(data, reg) - grad(data, reg0)
+        pen_double = grad(doubled, reg) - grad(doubled, reg0)
         # extracting the penalty by subtraction leaves ~eps-size residue of
         # the (different) data terms, so compare tightly rather than exactly
         np.testing.assert_allclose(pen_single, pen_double, atol=1e-12, rtol=0)
@@ -410,7 +429,7 @@ class TestLossGradient(FiniteDifferenceMixin):
         for surrogates in ((0.0, 0.0), (0.0, -3.0), (25.0, -25.0)):
             theta[3:5] = surrogates
             self.check_gradient(data, ModelKind.PSYCHM, theta, RegConfig())
-            assert np.all(loss_gradient(data, ModelKind.PSYCHM, theta, RegConfig())[3:5] != 0.0)
+            assert np.all(_loss_and_grad(data, ModelKind.PSYCHM, theta, RegConfig())[1][3:5] != 0.0)
 
     def test_surrogate_past_the_bound_has_zero_gradient(self):
         rng = np.random.default_rng(14)
@@ -419,11 +438,10 @@ class TestLossGradient(FiniteDifferenceMixin):
         theta[3:5] = (-RATE_LOGIT_BOUND - 1.0, 0.5)
         at_bound = theta.copy()
         at_bound[3] = -RATE_LOGIT_BOUND
-        grad = loss_gradient(data, ModelKind.PSYCHM, theta, RegConfig())
+        value, value_and_grad = make_loss_functions(data, ModelKind.PSYCHM, RegConfig())
+        grad = value_and_grad(theta)[1]
         assert grad[3] == 0.0 and grad[4] != 0.0
-        assert loss(data, ModelKind.PSYCHM, theta, RegConfig()) == loss(
-            data, ModelKind.PSYCHM, at_bound, RegConfig()
-        )
+        assert value(theta) == value(at_bound)
 
 
 def _one_row(kind, annotated, score):
@@ -458,7 +476,7 @@ class TestRowClamp(FiniteDifferenceMixin):
         # of 1e-5 relative in log t.)
         data, theta = _one_row(ModelKind.SPM, 1, -25.0)
         reg = RegConfig(c_sel=0.3, c_tgt=0.2)
-        assert loss(data, ModelKind.SPM, theta, reg) < -np.log(LOG_CLAMP)
+        assert _loss_and_grad(data, ModelKind.SPM, theta, reg)[0] < -np.log(LOG_CLAMP)
         self.check_gradient(data, ModelKind.SPM, theta, reg)
 
 
@@ -495,7 +513,9 @@ class TestPlainFormula:
         data = _for_kind(Dataset(x=rng.normal(size=(n, d)), l=labels), kind)
         theta = _random_theta(rng, kind, d)
         np.testing.assert_allclose(
-            -loss(data, kind, theta, RegConfig()), _plain_log_likelihood(data, kind, theta), rtol=1e-12
+            -_loss_and_grad(data, kind, theta, RegConfig())[0],
+            _plain_log_likelihood(data, kind, theta),
+            rtol=1e-12,
         )
 
 
@@ -526,8 +546,8 @@ class TestFastClosures:
     @pytest.mark.parametrize("flags", ["mixed", "all", "none"])
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_fused_matches_reference(self, kind, flags):
-        # The public wrappers and the value closure must give value_and_grad's
-        # own bits, also when every row has the same (base, sign) pair: all
+        # The value closure and a reused engine must give a fresh engine's
+        # bits, also when every row has the same (base, sign) pair: all
         # annotated or none.
         rng = np.random.default_rng(11)
         data = _random_dataset(rng, n=30, d=3)
@@ -540,10 +560,11 @@ class TestFastClosures:
             theta = _random_theta(rng, kind, 3)
             probe = value(theta)
             f, g = value_and_grad(theta)
-            assert probe == loss(data, kind, theta, reg)
-            assert f == loss(data, kind, theta, reg)
-            assert value(theta) == loss(data, kind, theta, reg)
-            np.testing.assert_array_equal(g, loss_gradient(data, kind, theta, reg))
+            fresh_f, fresh_g = _loss_and_grad(data, kind, theta, reg)
+            assert probe == fresh_f
+            assert f == fresh_f
+            assert value(theta) == fresh_f
+            np.testing.assert_array_equal(g, fresh_g)
 
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_repeated_calls_are_independent(self, kind):
@@ -559,4 +580,4 @@ class TestFastClosures:
         for theta, g, k in zip(thetas, first, kept):
             np.testing.assert_array_equal(value_and_grad(theta)[1], k)
             np.testing.assert_array_equal(g, k)
-            np.testing.assert_array_equal(k, loss_gradient(data, kind, theta, reg))
+            np.testing.assert_array_equal(k, _loss_and_grad(data, kind, theta, reg)[1])

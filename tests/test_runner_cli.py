@@ -13,7 +13,7 @@ import pytest
 from puselect.cli import CONFIG_KEYS, build_config, main, parse_config_file
 from puselect.data import read_csv
 from puselect.estimators import CvConfig, TrainingProtocol
-from puselect.metrics import METRIC_NAMES, MetricReport, PairTest, SignificanceMatrix
+from puselect.metrics import METRIC_NAMES, MetricReport, PairTest
 from puselect.models import ModelKind
 from puselect import estimators, runner
 from puselect.optimize import NonFiniteError, OptimizerConfig
@@ -237,7 +237,7 @@ class TestAggregateJson:
             (naive, spm): PairTest(False, -0.125),
             (naive, psychm): PairTest(False, -0.5),
         }
-        significance = {m: None if m == "auc" else SignificanceMatrix(0.05, pairs) for m in METRIC_NAMES}
+        significance = {m: None if m == "auc" else pairs for m in METRIC_NAMES}
         table = ResultTable(cells=cells, significance=significance, reports=reports, non_converged_fits=3)
         cfg = light_config(tmp_path, models=kinds)
         runner._write_outputs(tmp_path, "bench-synth", cfg, table, "trials.csv")
@@ -306,6 +306,12 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text("generator.n\n")
         with pytest.raises(ValueError, match="line 1"):
+            parse_config_file(path)
+
+    def test_line_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"trials=3\n\xff\nseed=1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: 'utf-8' codec"):
             parse_config_file(path)
 
     def test_defaults_follow_benchmark_protocol(self):
@@ -579,6 +585,19 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "d.json" in err and "Traceback" not in err
         assert "true_params" not in content or "3 weights, the dataset 2 features" in err
+        assert not (tmp_path / "cli_out").exists()
+
+    def test_fit_real_without_y_names_the_csv_before_training(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "no_y.csv"
+        csv_path.write_text("f0,l\n0.5,1\n-0.5,0\n1.5,0\n")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was trained on data without the label it fits")
+
+        monkeypatch.setattr(runner, "train_model", no_fit)
+        assert main(["fit", str(csv_path), "--model", "real", *self._flags(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_path}: model real needs a y column\n"
         assert not (tmp_path / "cli_out").exists()
 
     def test_generate_rejects_a_json_dataset_path(self, tmp_path, capsys):
