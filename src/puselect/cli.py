@@ -15,6 +15,7 @@ Precedence: defaults < config file < flags.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 
 from .models import ModelKind
@@ -68,11 +69,12 @@ CONFIG_KEYS: dict = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines of UTF-8 text; '#' starts a comment; unknown and
-    repeated keys are errors, and so is a line that is not UTF-8."""
+    """Flat key=value lines of UTF-8 text, after one leading byte-order mark;
+    '#' starts a comment; unknown and repeated keys are errors, and so is a
+    line that is not UTF-8."""
     raw = {}
     with open(path, "rb") as fh:
-        for lineno, text in enumerate(fh.read().splitlines(), start=1):
+        for lineno, text in enumerate(fh.read().removeprefix(codecs.BOM_UTF8).splitlines(), start=1):
             try:
                 line = text.decode().split("#", 1)[0].strip()
             except UnicodeDecodeError as exc:

@@ -125,7 +125,7 @@ def _first_fault(path, width: int, dtype) -> str | None:
     """Why the rows are rejected: the first line that has another field
     count, that `_parse_rows` rejects on its own, or that the rules of a
     one-row ``Dataset`` reject; "no data rows", or None."""
-    with open(path, errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         lines = list(enumerate(fh, start=1))[1:]
     rows = [(n, line, fields) for n, line in lines if (fields := next(csv.reader([line]), []))]
     for lineno, line, fields in rows:
@@ -147,9 +147,9 @@ def read_csv(path) -> Dataset:
 
     `_parse_rows` parses the rows; if it or ``Dataset`` refuses them, a
     rescan line by line, with the same parser, names the first bad line.
-    A byte that does not decode reads as U+FFFD, which no header or field
-    accepts."""
-    with open(path, errors="replace") as fh:
+    The file is read as UTF-8 after one leading byte-order mark; a byte
+    that does not decode reads as U+FFFD, which no header or field accepts."""
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:

@@ -7,7 +7,7 @@ their weight initializations from per-start Philox streams; the convex
 logistic baselines run one start, from zero, so their seed argument is
 inert.  An ``init`` vector, the ``theta`` of an earlier fit of the same
 model, replaces the first start when its loss is no higher;
-cross-validation uses it to walk each fold along a warm-started
+cross-validation uses it to walk its cell fits along a warm-started
 regularization path.
 """
 
@@ -20,7 +20,14 @@ import numpy as np
 from .data import Dataset, _derive_seed, _rng, split
 from .metrics import brier
 from .models import LinearParams, ModelKind, PsychmParams, affine_sigmoid, psychometric
-from .objective import RegConfig, label_column, make_loss_functions, unconstrain_rates, unpack
+from .objective import (
+    RegConfig,
+    fold_derivatives,
+    label_column,
+    make_loss_functions,
+    unconstrain_rates,
+    unpack,
+)
 from .optimize import NonFiniteError, OptimResult, OptimizerConfig, minimize
 
 __all__ = [
@@ -71,9 +78,13 @@ class CvConfig:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """The optimizer's account of the lowest-loss start (see `minimize`)."""
+
     loss: float
     grad_norm: float
     iterations: int
+    evaluations: int
+    stop: str
     converged: bool
     notes: tuple[str, ...] = ()
 
@@ -128,7 +139,7 @@ class TrainingProtocol:
 
     cv: CvConfig = field(default_factory=CvConfig)
     optimizer: OptimizerConfig = OptimizerConfig()
-    cv_max_iters: int = 66  # iteration cap of CV fold fits
+    cv_max_iters: int = 66  # iteration cap of CV cell fits
     n_starts: int = 3  # starts of a final SPM or PsychM fit
 
     def __post_init__(self):
@@ -138,7 +149,7 @@ class TrainingProtocol:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
 
     def cv_optimizer_for(self) -> OptimizerConfig:
-        """Optimizer for fold fits: the final fit's, capped at ``cv_max_iters``
+        """Optimizer for CV cell fits: the final fit's, capped at ``cv_max_iters``
         iterations; a cap at or above the final fit's budget leaves it as it is."""
         return replace(self.optimizer, max_iters=min(self.cv_max_iters, self.optimizer.max_iters))
 
@@ -205,9 +216,16 @@ def _fit(data, kind, reg, protocol, seed, init, notes=()) -> FittedModel:
     params = unpack(kind, best.params, data.dim)
     if kind == ModelKind.SPM:
         params = _assign_target_factor(params)
-    parts = vars(params) if kind in _TWO_FACTOR else {"target": params}
-    diagnostics = FitDiagnostics(best.loss, best.grad_norm, best.iterations, best.converged, notes)
-    return FittedModel(kind=kind, diagnostics=diagnostics, reg=reg, theta=best.params, **parts)
+    diagnostics = FitDiagnostics(
+        best.loss, best.grad_norm, best.iterations, best.evaluations, best.stop, best.converged, notes
+    )
+    return FittedModel(kind=kind, diagnostics=diagnostics, reg=reg, theta=best.params,
+                       **_parts(kind, params))
+
+
+def _parts(kind, params) -> dict:
+    """The `FittedModel` fields that ``params``, read off by `unpack`, set."""
+    return vars(params) if kind in _TWO_FACTOR else {"target": params}
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +333,37 @@ def _cv_path(cv: CvConfig, kind: ModelKind) -> list[tuple[tuple[int, ...], float
 def select_hyperparams(
     data: Dataset, kind: ModelKind, protocol: TrainingProtocol, seed: int = 0
 ) -> RegConfig:
-    """Pick penalty coefficients by k-fold CV Brier score against the label ``kind`` fits.
+    """Pick penalty coefficients by approximate k-fold CV Brier score
+    against the label ``kind`` fits.
 
-    The grid and fold count are ``protocol.cv``.  Fold fits run one start
-    each at ``protocol.cv_optimizer_for()``; restarts are reserved for the
-    final fit.  Each fold walks the cells in `_cv_path` order: its first fit
-    starts from the cell's seeded draw (zero for the baselines), and every
-    later fit from the fold's last successful optimum, unless that draw has
-    the lower loss (see `_best_of_starts`).  Ties go to the more
-    regularized pair: larger coefficient sum, then larger target penalty,
-    then larger selection penalty.  Models without a selection factor are
-    fitted once per target penalty, at the largest selection penalty, the
-    cell that tie-break picks.  A cell whose fold fit hits degenerate data
-    or a non-finite loss is failed and never selected; if every cell fails,
-    a `DegenerateDataError` names the model.  A one-cell path is returned
-    without fold fits, so it cannot fail.
+    The grid and fold count are ``protocol.cv``.  Each cell of the
+    `_cv_path` is fitted once, on all rows, with one start at
+    ``protocol.cv_optimizer_for()``; restarts are reserved for the final
+    fit.  The first cell fit starts from the cell's seeded draw (zero for
+    the baselines), every later one from the last successful cell's
+    optimum, unless that draw has the lower loss (see `_best_of_starts`).
+    Elkan's cell fits are its one-factor fit of l on all rows: CV scores
+    only its annotation model h, so its holdout and c_hat are left to the
+    final fit.
+
+    Each fold's fit is approximated by one Newton step from the cell's
+    optimum on the loss of the other folds (Beirami, Razaviyayn,
+    Shahrampour & Tarokh 2017; Rad & Maleki 2020): theta_-k = theta -
+    H_-k^-1 g_-k, with g_-k and H_-k the penalized loss's gradient and
+    Hessian less fold k's data term (`fold_derivatives`).  H_-k need not
+    be positive definite away from a convex loss, so each of its
+    eigenvalues lam is replaced by max(|lam|, 1e-8 max(max |lam|, 1)).
+    Fold k's validation rows are scored at theta_-k.
+
+    Ties go to the more regularized pair: larger coefficient sum, then
+    larger target penalty, then larger selection penalty.  Models without a
+    selection factor are fitted once per target penalty, at the largest
+    selection penalty, the cell that tie-break picks.  A cell is failed,
+    and never selected, when its fit hits degenerate data or a non-finite
+    loss, or a fold's step or score is not finite.  A one-factor fit whose
+    training rows of some fold hold one class of its label fails every
+    cell.  If every cell fails, a `DegenerateDataError` names the model.  A
+    one-cell path is returned without fits, so it cannot fail.
     """
     cv = protocol.cv
     if data.n < cv.folds:
@@ -337,36 +371,64 @@ def select_hyperparams(
     path = _cv_path(cv, kind)
     if len(path) == 1:
         return RegConfig(*path[0][1:])
-    fold_protocol = replace(protocol, optimizer=protocol.cv_optimizer_for(), n_starts=1)
-    label = label_column(kind)
-    perm = _rng(seed, 0).permutation(data.n)
-    folds = np.array_split(perm, cv.folds)
-    # (train, validation) per fold, built once for the whole grid.
-    fold_data = [
-        (data.subset(np.concatenate(folds[:f] + folds[f + 1 :])), data.subset(val_idx))
-        for f, val_idx in enumerate(folds)
-    ]
+    failed = DegenerateDataError(f"every cross-validation cell failed for model {kind.value}")
+    labels = getattr(data, label_column(kind))
+    fold = np.empty(data.n, dtype=int)
+    for k, rows in enumerate(np.array_split(_rng(seed, 0).permutation(data.n), cv.folds)):
+        fold[rows] = k
+    if kind not in _TWO_FACTOR and labels is not None:  # `_fit`'s rule, on each fold's training rows
+        if any(np.ptp(labels[fold != k]) == 0 for k in range(cv.folds)):
+            raise failed
+    cell_protocol = replace(protocol, optimizer=protocol.cv_optimizer_for(), n_starts=1)
+    fit = _fit if kind == ModelKind.ELKAN else _fit_kind
 
-    warm = [None] * cv.folds  # per fold: the free parameters of its last successful fit
+    warm = None  # the free parameters of the last successful cell fit
     best = None
     for key, c_sel, c_tgt in path:
         reg = RegConfig(c_sel=c_sel, c_tgt=c_tgt)
-        scores = []
         try:
-            for f, (train, val) in enumerate(fold_data):
-                model = _fit_kind(
-                    train, kind, reg, fold_protocol, _derive_seed(seed, 1, *key, f), warm[f]
-                )
-                warm[f] = model.theta
-                scores.append(brier(model.annotation_probability(val.x), getattr(val, label)))
+            model = fit(data, kind, reg, cell_protocol, _derive_seed(seed, 1, *key), warm)
         except (DegenerateDataError, NonFiniteError):
             continue
-        rank = (float(np.mean(scores)), -(c_sel + c_tgt), -c_tgt, -c_sel)
+        warm = model.theta
+        thetas = _one_step_estimates(data, kind, reg, model.theta, fold)
+        if not np.all(np.isfinite(thetas)):
+            continue
+        scores = []
+        for k, theta in enumerate(thetas):
+            rows = fold == k
+            fold_model = replace(model, **_parts(kind, unpack(kind, theta, data.dim)))
+            scores.append(brier(fold_model.annotation_probability(data.x[rows]), labels[rows]))
+        score = float(np.mean(scores))
+        if not np.isfinite(score):
+            continue
+        rank = (score, -(c_sel + c_tgt), -c_tgt, -c_sel)
         if best is None or rank < best[0]:
             best = (rank, reg)
     if best is None:
-        raise DegenerateDataError(f"every cross-validation cell failed for model {kind.value}")
+        raise failed
     return best[1]
+
+
+def _one_step_estimates(data, kind, reg, theta, fold) -> np.ndarray:
+    """theta_-k for each fold k: one Newton step from ``theta`` on the
+    penalized loss of the rows outside fold k (see `select_hyperparams`)."""
+    grads, hessians, penalty = fold_derivatives(data, kind, reg, theta, fold)
+    others_grad = grads.sum(axis=0) - grads + penalty * theta
+    others_hessian = hessians.sum(axis=0) - hessians + np.diag(penalty)
+    return theta - _saddle_free_solve(others_hessian, others_grad)
+
+
+def _saddle_free_solve(hessians, grads) -> np.ndarray:
+    """H^-1 g for each stacked (H, g), with each eigenvalue lam of H
+    replaced by max(|lam|, 1e-8 max(max |lam|, 1)); nan where H or g is
+    not finite."""
+    if not (np.all(np.isfinite(hessians)) and np.all(np.isfinite(grads))):
+        return np.full_like(grads, np.nan)
+    lam, vec = np.linalg.eigh(hessians)
+    top = np.abs(lam).max(axis=-1, keepdims=True)
+    lam = np.maximum(np.abs(lam), 1e-8 * np.maximum(top, 1.0))
+    return (vec @ ((vec.transpose(0, 2, 1) @ grads[..., None]) / lam[..., None]))[..., 0]
 
 
 def train_model(

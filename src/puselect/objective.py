@@ -78,6 +78,7 @@ __all__ = [
     "free_param_length",
     "label_column",
     "make_loss_functions",
+    "fold_derivatives",
 ]
 
 # Each row's log argument, base + sign * q, is clamped to [LOG_CLAMP,
@@ -251,10 +252,14 @@ class _Engine:
         np.clip(arg, LOG_CLAMP, 1.0 - LOG_CLAMP, out=self.clipped)
         return float(np.sum(np.log(self.clipped, out=self.logs))), guess, lapse
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def _checked(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_free,):
             raise ValueError(f"expected {self.n_free} free parameters, got {theta.shape}")
+        return theta
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = self._checked(theta)
         total, guess, lapse = self._forward(theta)
 
         # d log(clip(arg)) / dq is sign / arg where the clamp leaves arg as
@@ -295,8 +300,131 @@ class _Engine:
         return value, grad
 
 
+    def fold_derivatives(self, theta: np.ndarray, fold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per fold k, the gradient (K, n_free) and Hessian (K, n_free,
+        n_free) of fold k's data term, the negative log-likelihood of the
+        rows whose ``fold`` is k, at ``theta``.
+
+        The local coordinates of a row are, in layout order, each factor's
+        affine score and, with free rates, guess and lapse after the
+        selection's.  `_local_derivatives` gives each row's first and second
+        derivatives of log(arg) by them.  A block of two scores is then the
+        weighted Gram x^T diag(w) x over a fold's rows; a rate's design is
+        the bias column of ones, so a block with a rate is the Gram's bias
+        row or entry.  The rate coordinates chain to the surrogates through
+        the softmax Jacobian (module docstring), plus the softmax's second
+        derivatives times the rate gradient.  As in `value_and_grad`, a row
+        the clamp moved, and a surrogate past its clip, contribute 0.
+        """
+        theta = self._checked(theta)
+        _, guess, lapse = self._forward(theta)
+        d = self.d
+        # Rows sorted by fold, so that each fold is one slice.
+        order = np.argsort(fold, kind="stable")
+        bounds = np.searchsorted(fold[order], np.arange(int(fold.max()) + 2))
+        xt, s, p0 = self.xt.take(order, axis=1), self.s.take(order, axis=1), self.p0.take(order)
+        # d log(clip(arg)) / dq; its square is minus the second derivative.
+        r = np.where(self.arg == self.clipped, self.sign / self.clipped, 0.0).take(order)
+        l1, l2 = self._local_derivatives(s, p0, r, guess, lapse)
+        rate = [self.free_rates and 0 < u < 3 for u in range(len(l1))]
+        pairs = [(u, v) for u in range(len(l1)) for v in range(u, len(l1))]
+        # Per fold: sum x l1[u] for the gradient and sum x x^T l2[u, v] per
+        # pair, of which a pair with a rate needs the bias row x l2[u, v] alone.
+        full = [p for p, (u, v) in enumerate(pairs) if not (rate[u] or rate[v])]
+        n_folds = len(bounds) - 1
+        vectors = np.empty((n_folds, len(l1), d + 1))
+        grams = np.zeros((n_folds, len(pairs), d + 1, d + 1))
+        for k, rows in enumerate(map(slice, bounds, bounds[1:])):
+            x = xt[:, rows]
+            vectors[k] = -(l1[:, rows] @ x.T)
+            grams[k, :, d] = grams[k, :, :, d] = -(l2[:, rows] @ x.T)
+            grams[k, full] = -((x * l2[full, None, rows]) @ x.T)
+
+        # Where each coordinate sits in theta, and which entries of x it takes.
+        take = [slice(d, d + 1) if is_rate else slice(None) for is_rate in rate]
+        starts = np.cumsum([0] + [1 if is_rate else d + 1 for is_rate in rate])
+        spans = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        grads = np.empty((n_folds, self.n_free))
+        hessians = np.empty((n_folds, self.n_free, self.n_free))
+        for u, (span, entries) in enumerate(zip(spans, take)):
+            grads[:, span] = vectors[:, u, entries]
+        for (u, v), gram in zip(pairs, grams.transpose(1, 0, 2, 3)):
+            hessians[:, spans[u], spans[v]] = gram[:, take[u], take[v]]
+            hessians[:, spans[v], spans[u]] = gram[:, take[u], take[v]].transpose(0, 2, 1)
+        if self.free_rates:
+            rates = slice(d + 1, d + 3)
+            p = np.array([guess, lapse])
+            a = np.eye(2) - p
+            # d rate_i / d surrogate_j, and d^2 rate_i / d surrogate_j d surrogate_k.
+            jac = p[:, None] * a
+            curv = jac[:, None, :] * a[:, :, None] - (p[:, None] * p)[:, :, None] * a[None]
+            inside = np.abs(theta[rates]) < RATE_LOGIT_BOUND
+            jac *= inside
+            curv *= inside[:, None] & inside
+            chain = np.eye(self.n_free)
+            chain[rates, rates] = jac
+            second = (grads[:, rates] @ curv.reshape(2, 4)).reshape(-1, 2, 2)
+            hessians = chain.T @ hessians @ chain
+            hessians[:, rates, rates] += second
+            grads = grads @ chain
+        return grads, hessians
+
+    def _local_derivatives(self, s, p0, r, guess, lapse) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the derivatives of log(arg) by the local coordinates:
+        l1[u] by coordinate u, and l2 by each pair u <= v in row-major order.
+
+        With q1[u] = dq / du and q2[u, v] = d^2 q / du dv, they are r q1[u]
+        and r q2[u, v] - r^2 q1[u] q1[v], since d^2 log(arg) / dq^2 = -r^2."""
+        ds = s * (1.0 - s)
+        if len(self.factors) == 1:
+            q1, q2 = ds, {(0, 0): ds[0] * (1.0 - 2.0 * s[0])}
+        else:
+            span, t = 1.0 - guess - lapse, s[1]
+            tgt = 3 if self.free_rates else 1
+            q1 = np.empty((tgt + 1, len(r)))
+            q1[0], q1[tgt] = span * ds[0] * t, p0 * ds[1]
+            q2 = {
+                (0, 0): q1[0] * (1.0 - 2.0 * s[0]),
+                (0, tgt): span * ds[0] * ds[1],
+                (tgt, tgt): q1[tgt] * (1.0 - 2.0 * s[1]),
+            }
+            if self.free_rates:
+                # dp_0 / dguess = 1 - s_0 and dp_0 / dlapse = -s_0.
+                q1[1], q1[2] = (1.0 - s[0]) * t, -s[0] * t
+                q2[0, 1] = q2[0, 2] = -ds[0] * t
+                q2[1, tgt], q2[2, tgt] = (1.0 - s[0]) * ds[1], -s[0] * ds[1]
+        l1 = r * q1
+        l2 = np.empty(((len(q1) * (len(q1) + 1)) // 2, len(r)))
+        for p, (u, v) in enumerate((u, v) for u in range(len(q1)) for v in range(u, len(q1))):
+            np.multiply(l1[u], -l1[v], out=l2[p])
+            if (u, v) in q2:
+                l2[p] += r * q2[u, v]
+        return l1, l2
+
+
 def make_loss_functions(data: Dataset, kind: ModelKind, reg: RegConfig):
     """The (value, value_and_grad) pair that the optimizer minimizes; its
     value is the first half of value_and_grad."""
     value_and_grad = _Engine(data, reg, _LAYOUTS[kind]).value_and_grad
     return lambda theta: value_and_grad(theta)[0], value_and_grad
+
+
+def fold_derivatives(data: Dataset, kind: ModelKind, reg: RegConfig, theta, fold):
+    """Per fold, the derivatives of ``kind``'s data term in its free-parameter
+    layout, from one pass over all rows: ``(grads, hessians, penalty)``.
+
+    ``fold`` gives each row's fold, 0 to K-1; ``grads[k]`` and
+    ``hessians[k]`` are the gradient and Hessian of the negative
+    log-likelihood of fold k's rows, so the full data term's are their sums.
+    ``penalty`` is the diagonal of the penalty's Hessian, 2 c on each
+    weight its factor penalizes and 0 elsewhere; the penalty's gradient is
+    ``penalty * theta``."""
+    fold = np.asarray(fold)
+    if fold.shape != (data.n,):
+        raise ValueError(f"expected a fold for each of {data.n} rows, got {fold.shape}")
+    engine = _Engine(data, reg, _LAYOUTS[kind])
+    grads, hessians = engine.fold_derivatives(theta, fold)
+    penalty = np.zeros(engine.n_free)
+    for offset, c in engine.factors:
+        penalty[offset : offset + data.dim] = 2.0 * c
+    return grads, hessians, penalty

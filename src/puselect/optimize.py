@@ -28,7 +28,10 @@ A run stops at the first of four events:
 - ``max_iters`` iterations are done.
 
 ``converged`` means one of the first two: the fit finished.  A fit that
-hits the cap or stalls is not converged.
+hits the cap or stalls is not converged.  ``stop`` names the event:
+"gradient", "relative decrease", "stall" or "cap", in that order of
+precedence when two coincide; ``evaluations`` counts the calls of
+``value_and_grad``.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ class OptimResult:
     loss: float
     grad_norm: float
     iterations: int
+    evaluations: int
+    stop: str
     converged: bool
 
 
@@ -118,7 +123,14 @@ def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
     x = np.array(init, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("initial point is not finite", x)
-    f, g = _eval(value_and_grad, x)
+    evaluations = 0
+
+    def counted(theta):
+        nonlocal evaluations
+        evaluations += 1
+        return value_and_grad(theta)
+
+    f, g = _eval(counted, x)
     if not np.isfinite(f):
         raise NonFiniteError(f"objective is {f} at iterate", x)
     gnorm = float(np.linalg.norm(g))
@@ -126,6 +138,7 @@ def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
 
     iterations = 0
     flat = False  # the last accepted step met the relative-decrease stop
+    stalled = False
     while not flat and gnorm > cfg.grad_tol and iterations < cfg.max_iters:
         direction = -_two_loop(g, history)
         slope = float(direction @ g)
@@ -139,9 +152,10 @@ def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
         # Without curvature pairs the direction is -g, whose length is the
         # loss's scale, not a step's: its first probe is capped in length.
         first = 1.0 if history else min(1.0, _FIRST_STEP / math.sqrt(-slope))
-        found = _wolfe_search(value_and_grad, x, f, direction, slope, first)
+        found = _wolfe_search(counted, x, f, direction, slope, first)
         if found is None:
-            break  # line search stalled
+            stalled = True
+            break
         step, f_new, g_new = found
         iterations += 1
         x_new = x + step * direction
@@ -155,12 +169,18 @@ def minimize(value, value_and_grad, init, cfg: OptimizerConfig) -> OptimResult:
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))
 
+    if gnorm <= cfg.grad_tol:
+        stop = "gradient"
+    else:
+        stop = "relative decrease" if flat else "stall" if stalled else "cap"
     return OptimResult(
         params=x,
         loss=f,
         grad_norm=gnorm,
         iterations=iterations,
-        converged=flat or gnorm <= cfg.grad_tol,
+        evaluations=evaluations,
+        stop=stop,
+        converged=stop in ("gradient", "relative decrease"),
     )
 
 

@@ -134,6 +134,8 @@ class TestCsv:
         pytest.param("\r\nf0,l\r\n1.5,0\r\n", "line 1: expected header f0,...,f{d-1},l[,y], got ",
                      id="blank-first-line-crlf"),
         pytest.param(b"f0,l\n1.0\xe9,1\n", "line 2: unparseable value", id="not-utf-8"),
+        pytest.param("\ufefff0,l\n1.5,1\n-1,0\n", [(1.5, 1), (-1.0, 0)], id="byte-order-mark"),
+        pytest.param("\ufefff0,l\n1.5,1\n-1,x\n", "line 3: unparseable value", id="byte-order-mark-fault"),
         pytest.param("f0,l\n1_0,0\n", "line 2: unparseable value", id="digit-grouping"),
         pytest.param("f0,l\n\u0661,0\n", "line 2: unparseable value", id="arabic-indic-digit"),
     ])

@@ -386,16 +386,16 @@ class TestTrainingProtocol:
 
         monkeypatch.setattr(est, "_fit_kind", recording)
         train_model(data, ModelKind.SPM, protocol, seed=44)
-        assert seen == [(66, 1)] * 4 + [(150, 3)]  # 2 cells x 2 folds, then the final fit
-        # A cap at or above the final fit's budget gives the fold fits that budget.
+        assert seen == [(66, 1)] * 2 + [(150, 3)]  # one fit per cell, then the final fit
+        # A cap at or above the final fit's budget gives the cell fits that budget.
         for cap in (150, 500):
             seen.clear()
             train_model(data, ModelKind.SPM, replace(protocol, cv_max_iters=cap), seed=44)
-            assert seen == [(150, 1)] * 4 + [(150, 3)]
+            assert seen == [(150, 1)] * 2 + [(150, 3)]
 
 
 def full_budget(cv):
-    """A protocol whose fold fits run at the final fit's iteration budget, 150."""
+    """A protocol whose cell fits run at the final fit's iteration budget, 150."""
     return TrainingProtocol(cv=cv, cv_max_iters=150)
 
 
@@ -414,7 +414,7 @@ class TestSelectHyperparams:
         for kind in (ModelKind.NAIVE, ModelKind.SPM, ModelKind.PSYCHM):
             reg = select_hyperparams(data, kind, full_budget(cv), seed=32)
             assert (reg.c_sel, reg.c_tgt) == (0.5, 0.25)
-        assert calls == []  # one cell has nothing to choose between: no fold fits
+        assert calls == []  # one cell has nothing to choose between: no fits
         # The input checks still come first.
         with pytest.raises(ValueError, match="at least 3 rows"):
             select_hyperparams(data.subset([0, 1]), ModelKind.NAIVE, full_budget(cv), seed=32)
@@ -431,7 +431,7 @@ class TestSelectHyperparams:
 
         monkeypatch.setattr(est, "_fit_kind", counting)
         select_hyperparams(data, ModelKind.NAIVE, full_budget(cv), seed=34)
-        assert len(calls) == len(cv.grid_tgt) * cv.folds
+        assert len(calls) == len(cv.grid_tgt)  # one fit per target penalty
 
     def test_tie_broken_toward_larger_penalty(self):
         # the selection axis is inert for the flag-only baseline, so every
@@ -484,33 +484,39 @@ class TestSelectHyperparams:
         with pytest.raises(ValueError):
             select_hyperparams(data, ModelKind.NAIVE, TrainingProtocol(), seed=0)
 
-    def test_degenerate_fold_fails_its_cell_only(self):
-        # Resample 0 of `bench-real --seed 10002` on the CSV written by
-        # `generate --seed 10002 --generator.n 1000 --generator.d 3`, Elkan
-        # being the fourth of the default models: the training half has 30
-        # of 500 rows annotated, and the c_tgt=0 cell's third fold fit finds
-        # no annotated row in its Elkan holdout.
+    def test_degenerate_fold_fails_its_cell_only(self, monkeypatch):
+        # The Elkan training half of resample 0 of `bench-real --seed 10002`
+        # on the CSV of `generate --seed 10002 --generator.n 1000
+        # --generator.d 3`.  A non-finite step in one fold of the winning
+        # cell fails that cell alone: the pick moves to another cell, and
+        # the final fit runs.
         seed = 10002
         data = generate(GeneratorConfig(n=1000, d=3, seed=seed))
         sample = data.subset(est._rng(seed, 0, 0).integers(0, data.n, size=data.n))
         train, _ = split(sample, 0.5, seed=est._derive_seed(seed, 0, 1))
-        protocol = TrainingProtocol(cv_max_iters=66, n_starts=3)
+        protocol = TrainingProtocol()
         fit_seed = est._derive_seed(seed, 0, 2, 3)
         cv_seed = est._derive_seed(fit_seed, 0)
+        winner = select_hyperparams(train, ModelKind.ELKAN, protocol, seed=cv_seed)
+        scored = []
+        original = est.fold_derivatives
 
-        folds = np.array_split(est._rng(cv_seed, 0).permutation(train.n), 3)
-        with pytest.raises(DegenerateDataError):
-            fit_elkan(train.subset(np.concatenate(folds[:2])), REG0, protocol,
-                      seed=est._derive_seed(cv_seed, 1, 0, 2))
+        def non_finite_in_winner(data, kind, reg, theta, fold):
+            grads, hessians, penalty = original(data, kind, reg, theta, fold)
+            scored.append(reg)
+            if reg == winner:
+                grads[2, 0] = np.nan
+            return grads, hessians, penalty
 
+        monkeypatch.setattr(est, "fold_derivatives", non_finite_in_winner)
         reg = select_hyperparams(train, ModelKind.ELKAN, protocol, seed=cv_seed)
-        assert reg.c_tgt != 0.0
+        assert reg != winner and winner in scored and len(scored) == len(protocol.cv.grid_tgt)
         model = train_model(train, ModelKind.ELKAN, protocol, seed=fit_seed)
-        assert 0.0 < model.c_hat <= 1.0
+        assert model.reg == reg and 0.0 < model.c_hat <= 1.0
 
     def test_every_cell_failing_names_the_model(self):
-        # With one annotated row, every Elkan fit either trains on a single
-        # class or finds no annotated row in its holdout.
+        # With one annotated row, the training rows of the fold that holds
+        # it have none, so every one-factor cell fails.
         rng = np.random.default_rng(41)
         l = np.zeros(30, dtype=int)
         l[0] = 1
@@ -518,24 +524,21 @@ class TestSelectHyperparams:
         cv = CvConfig(folds=3, grid_sel=(0.0,), grid_tgt=(0.0, 1.0))
         with pytest.raises(ValueError, match="elkan"):
             select_hyperparams(data, ModelKind.ELKAN, full_budget(cv), seed=42)
-        # One cell is returned without fold fits, so it cannot fail.
+        # One cell is returned without fits, so it cannot fail.
         one_cell = replace(cv, grid_tgt=(1.0,))
         reg = select_hyperparams(data, ModelKind.ELKAN, full_budget(one_cell), seed=42)
         assert (reg.c_sel, reg.c_tgt) == (0.0, 1.0)
 
 
 def recording_fits(monkeypatch):
-    """Replace `_fit_kind` with a pass-through that records every fold fit
-    as a dict of its arguments and result, ``fold`` counting the distinct
-    training sets in order of first use."""
-    calls, folds = [], {}
+    """Replace `_fit_kind` with a pass-through that records every cell fit
+    as a dict of its arguments and result."""
+    calls = []
     original = est._fit_kind
 
     def recording(data, kind, reg, protocol, seed, init=None):
         model = original(data, kind, reg, protocol, seed, init)
-        fold = folds.setdefault(id(data), len(folds))
-        calls.append(dict(data=data, fold=fold, reg=reg, protocol=protocol, seed=seed,
-                          init=init, model=model))
+        calls.append(dict(data=data, reg=reg, protocol=protocol, seed=seed, init=init, model=model))
         return model
 
     monkeypatch.setattr(est, "_fit_kind", recording)
@@ -559,14 +562,13 @@ class TestRegularizationPath:
                                 (ModelKind.PSYCHM, psychm, (2, 0))):
             calls = recording_fits(monkeypatch)
             select_hyperparams(data, kind, protocol, seed=48)
-            for f in range(cv.folds):
-                fold_calls = [c for c in calls if c["fold"] == f]
-                assert [(c["reg"].c_sel, c["reg"].c_tgt) for c in fold_calls] == path
-                # the first cell's seed is keyed by its grid indices, as every cell's
-                assert fold_calls[0]["seed"] == est._derive_seed(48, 1, *key, f)
-                assert fold_calls[0]["init"] is None
-                for prev, call in zip(fold_calls, fold_calls[1:]):
-                    assert call["init"] is prev["model"].theta
+            assert [(c["reg"].c_sel, c["reg"].c_tgt) for c in calls] == path
+            assert all(c["data"] is data for c in calls)  # every cell fits all rows
+            # the first cell's seed is keyed by its grid indices, as every cell's
+            assert calls[0]["seed"] == est._derive_seed(48, 1, *key)
+            assert calls[0]["init"] is None
+            for prev, call in zip(calls, calls[1:]):
+                assert call["init"] is prev["model"].theta
 
     @pytest.mark.parametrize("kind", [ModelKind.SPM, ModelKind.PSYCHM])
     def test_first_cell_fits_the_cold_start_bits(self, monkeypatch, kind):
@@ -574,16 +576,12 @@ class TestRegularizationPath:
         protocol = TrainingProtocol(cv=CvConfig(folds=2, grid_sel=(0.01,), grid_tgt=(0.01, 0.1)))
         calls = recording_fits(monkeypatch)
         select_hyperparams(data, kind, protocol, seed=50)
-        assert len(calls) == 4
-        first_cell = calls[0]["reg"]
-        fold_calls = [c for c in calls if c["reg"] == first_cell]
-        assert len(fold_calls) == 2 and {c["fold"] for c in fold_calls} == {0, 1}
-        for c in fold_calls:
-            assert c["init"] is None
-            cold = est._fit_kind(c["data"], kind, c["reg"], c["protocol"], c["seed"])
-            assert cold.theta.tobytes() == c["model"].theta.tobytes()
-            assert cold.target.w.tobytes() == c["model"].target.w.tobytes()
-
+        assert len(calls) == 2
+        first = calls[0]
+        assert first["init"] is None
+        cold = est._fit_kind(first["data"], kind, first["reg"], first["protocol"], first["seed"])
+        assert cold.theta.tobytes() == first["model"].theta.tobytes()
+        assert cold.target.w.tobytes() == first["model"].target.w.tobytes()
     def test_warm_started_naive_reaches_the_zero_start_loss(self):
         data = generate(GeneratorConfig(n=600, d=3, seed=51))
         cv_optimizer = TrainingProtocol().cv_optimizer_for()
@@ -597,7 +595,7 @@ class TestRegularizationPath:
 
     @pytest.mark.parametrize("failing_cell", [0, 1])
     def test_failed_cell_hands_on_the_last_good_optimum(self, monkeypatch, failing_cell):
-        # Path 1.0 -> 0.1 -> 0.0; one cell's first fold fit raises.
+        # Path 1.0 -> 0.1 -> 0.0; one cell's fit raises.
         data = generate(GeneratorConfig(n=150, d=2, seed=52))
         cv = CvConfig(folds=2, grid_sel=(0.0,), grid_tgt=(0.0, 0.1, 1.0))
         path = (1.0, 0.1, 0.0)
@@ -614,14 +612,13 @@ class TestRegularizationPath:
         reg = select_hyperparams(data, ModelKind.SPM, protocol, seed=53)
         assert reg.c_tgt != path[failing_cell]
         after = path[failing_cell + 1]
-        for f in range(cv.folds):
-            fold_calls = {c["reg"].c_tgt: c for c in calls if c["fold"] == f}
-            assert path[failing_cell] not in fold_calls
-            if failing_cell == 0:  # no good optimum yet: a first cell's start
-                assert fold_calls[after]["init"] is None
-                assert fold_calls[after]["seed"] == est._derive_seed(53, 1, 0, 1, f)
-            else:
-                assert fold_calls[after]["init"] is fold_calls[path[0]]["model"].theta
+        cell_calls = {c["reg"].c_tgt: c for c in calls}
+        assert path[failing_cell] not in cell_calls
+        if failing_cell == 0:  # no good optimum yet: a first cell's start
+            assert cell_calls[after]["init"] is None
+            assert cell_calls[after]["seed"] == est._derive_seed(53, 1, 0, 1)
+        else:
+            assert cell_calls[after]["init"] is cell_calls[path[0]]["model"].theta
 
 
     def test_warm_start_costlier_than_the_cold_draw_is_dropped(self):
@@ -639,18 +636,76 @@ class TestRegularizationPath:
     def test_psychm_path_stays_out_of_degenerate_rates(self, monkeypatch):
         # Trial 1 of `bench-synth --seed 20240801`, built as the runner
         # builds it.  Carried up from the zero selection penalty, one
-        # fold's selection weights (norm 7,016) made the next cells start
-        # from a loss near 5e5, and their fits ended with lapse 1 and every
-        # row clamped.  With the former |.| rate map and the path walked
-        # down from the largest penalties, 21 of 75 ended at guess > 0.5.
+        # fold fit's selection weights (norm 7,016) once made the next cells
+        # start from a loss near 5e5, and their fits ended with lapse 1 and
+        # every row clamped.  With the former |.| rate map and the path
+        # walked down from the largest penalties, 21 of 75 fold fits ended
+        # at guess > 0.5.  The cell fits, and each fold's one-step estimate,
+        # stay out of both.
         seed = 20240801
         data = generate(GeneratorConfig(seed=est._derive_seed(seed, 1, 0)))
         train, _ = split(data, 0.5, seed=est._derive_seed(seed, 1, 1))
         calls = recording_fits(monkeypatch)
         cv_seed = est._derive_seed(est._derive_seed(seed, 1, 2, 1), 0)
+        unpacked = []  # the parameters of every cell fit and fold estimate
+        original = est.unpack
+
+        def recording(kind, theta, dim):
+            unpacked.append(original(kind, theta, dim))
+            return unpacked[-1]
+
+        monkeypatch.setattr(est, "unpack", recording)
         select_hyperparams(train, ModelKind.PSYCHM, TrainingProtocol(), seed=cv_seed)
-        assert len(calls) == 75
+        assert len(calls) == 25 and len(unpacked) == 25 * 4
         assert max(max(c["model"].guess, c["model"].lapse) for c in calls) < 0.5
+        assert max(max(p.guess, p.lapse) for p in unpacked) < 0.5
+
+
+class TestApproximateCv:
+    def test_naive_one_step_is_near_the_exact_fold_fit(self):
+        # Against each fold's own fit, both run to convergence at grad_tol 1e-10:
+        # measured, the one-step estimates are within 0.024 (largest
+        # entry) of it, and the full-data optimum within 0.11-0.22.
+        data = generate(GeneratorConfig(n=600, d=3, seed=51))
+        reg = RegConfig(c_tgt=0.01)
+        tight = TrainingProtocol(optimizer=OptimizerConfig(max_iters=1000, grad_tol=1e-10), n_starts=1)
+        fold = np.arange(data.n) % 3
+        full = fit_naive(data, reg, tight)
+        estimates = est._one_step_estimates(data, ModelKind.NAIVE, reg, full.theta, fold)
+        for k, theta in enumerate(estimates):
+            exact = fit_naive(data.subset(np.flatnonzero(fold != k)), reg, tight, init=full.theta)
+            assert exact.diagnostics.converged
+            error = np.abs(theta - exact.theta).max()
+            assert error <= 0.03
+            assert error <= np.abs(full.theta - exact.theta).max() / 4
+
+    def test_eigenvalue_floor(self):
+        # Eigenvalues 2, -0.5 and 0 in a rotated basis: the step divides by
+        # 2, 0.5 and the floor 1e-8 * 2; on a small matrix the floor is 1e-8.
+        rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+        hessian = rotation @ np.diag([2.0, -0.5, 0.0]) @ rotation.T
+        grad = rotation @ np.array([1.0, 1.0, 1e-9])
+        step = est._saddle_free_solve(hessian[None], grad[None])[0]
+        np.testing.assert_allclose(rotation.T @ step, [0.5, 2.0, 0.05], rtol=1e-6)
+        tiny = est._saddle_free_solve(np.diag([1e-3, -1e-12])[None], np.array([[1e-3, 1e-9]]))[0]
+        np.testing.assert_allclose(tiny, [1.0, 0.1], rtol=1e-9)
+        # A non-finite matrix gives a non-finite step, which fails its cell.
+        assert np.all(np.isnan(est._saddle_free_solve(np.full((1, 2, 2), np.nan), np.ones((1, 2)))))
+
+    def test_psychm_on_the_seed_31_csv(self):
+        # PsychM in `bench-real --resamples 6 --seed 31` on the CSV of
+        # `generate --seed 31 --generator.n 1000 --generator.d 3`, the second
+        # of the default models, built as the runner builds it.  Mean F1
+        # over the six resamples, measured: 0.890 with one pick at
+        # c_tgt = 10; with exact fold fits it was 0.800, with three.
+        seed = 31
+        data = generate(GeneratorConfig(n=1000, d=3, seed=seed))
+        reports = bootstrap_evaluate(data, (ModelKind.SPM, ModelKind.PSYCHM), 6, TrainingProtocol(),
+                                     seed=seed)
+        psychm = [r for r in reports if r.model == ModelKind.PSYCHM]
+        assert len(psychm) == 6
+        assert np.mean([r.f1 for r in psychm]) >= 0.85
+        assert sum(r.c_tgt == 10.0 for r in psychm) <= 1
 
 
 class TestWrongTargetRegressions:
@@ -748,20 +803,28 @@ class TestTrainModel:
         "name, kind, live_cells", [("fit_spm", ModelKind.SPM, 25), ("fit_elkan", ModelKind.ELKAN, 5)]
     )
     def test_fits_are_looked_up_at_call_time(self, monkeypatch, name, kind, live_cells):
-        # A fit replaced on the module runs in every CV fold fit of the
-        # default 5x5 grid's live cells and in the final fit.
+        # A fit replaced on the module runs in the CV fit of each of the
+        # default 5x5 grid's live cells and in the final fit.  Elkan's CV
+        # scores only its annotation model, so its cell fits are `_fit` of
+        # its one-factor layout, and `fit_elkan` runs once, for the final fit.
         data = generate(GeneratorConfig(n=300, d=2, seed=45))
         protocol = TrainingProtocol(optimizer=OptimizerConfig(max_iters=20), n_starts=1)
         calls = []
-        original = getattr(est, name)
 
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
+        def counting(fit_name):
+            original = getattr(est, fit_name)
 
-        monkeypatch.setattr(est, name, counting)
+            def counted(*args):
+                calls.append(fit_name)
+                return original(*args)
+
+            return counted
+
+        for fit_name in (name, "_fit"):
+            monkeypatch.setattr(est, fit_name, counting(fit_name))
         train_model(data, kind, protocol, seed=46)
-        assert len(calls) == live_cells * protocol.cv.folds + 1
+        assert calls.count(name) == (1 if kind == ModelKind.ELKAN else live_cells + 1)
+        assert calls.count("_fit") == live_cells + 1
 
     def test_all_kinds_produce_unit_interval_scores(self, protocol):
         data = generate(GeneratorConfig(n=600, d=2, seed=39, guess=0.4))

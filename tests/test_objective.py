@@ -11,6 +11,7 @@ from puselect.objective import (
     RATE_LOGIT_BOUND,
     RegConfig,
     constrain_rates,
+    fold_derivatives,
     free_param_length,
     make_loss_functions,
     unconstrain_rates,
@@ -581,3 +582,105 @@ class TestFastClosures:
             np.testing.assert_array_equal(value_and_grad(theta)[1], k)
             np.testing.assert_array_equal(g, k)
             np.testing.assert_array_equal(k, _loss_and_grad(data, kind, theta, reg)[1])
+
+
+class TestFoldDerivatives:
+    """`fold_derivatives`: per fold, the data term's gradient and Hessian."""
+
+    step = 1e-5
+    rel_tol = 1e-6
+
+    def check_hessian(self, data, kind, theta, reg, fold):
+        # The summed fold Hessians and the penalty's diagonal against central
+        # differences of the loss gradient, relative to the largest entry.
+        grads, hessians, penalty = fold_derivatives(data, kind, reg, theta, fold)
+        value_and_grad = make_loss_functions(data, kind, reg)[1]
+        fd = np.empty((theta.size, theta.size))
+        for j in range(theta.size):
+            bump = np.zeros_like(theta)
+            bump[j] = self.step
+            fd[:, j] = (value_and_grad(theta + bump)[1] - value_and_grad(theta - bump)[1]) / (2 * self.step)
+        hessian = hessians.sum(axis=0) + np.diag(penalty)
+        scale = max(np.abs(fd).max(), 1.0)
+        assert np.abs(hessian - fd).max() <= self.rel_tol * scale, kind
+        np.testing.assert_allclose(grads.sum(axis=0) + penalty * theta, value_and_grad(theta)[1],
+                                   rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(hessians, hessians.transpose(0, 2, 1), rtol=1e-12, atol=1e-15 * scale)
+        return grads, hessians
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_matches_central_differences(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            d = int(rng.integers(1, 5))
+            data = _for_kind(_random_dataset(rng, n=30, d=d), kind)
+            theta = _random_theta(rng, kind, d)
+            reg = RegConfig(c_sel=float(rng.uniform(0, 2)), c_tgt=float(rng.uniform(0, 2)))
+            self.check_hessian(data, kind, theta, reg, rng.integers(0, 3, size=data.n))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_clamped_row_contributes_nothing(self, kind):
+        # Row 0 scores 40 on every factor but is not annotated: 1 - q is
+        # below the clamp, there and a step away.  Alone in its fold, it
+        # gives that fold a zero gradient and Hessian.
+        rng = np.random.default_rng(22)
+        data = _for_kind(_random_dataset(rng, n=20, d=2), kind)
+        x = data.x.copy()
+        x[0] = (20.0, 20.0)
+        flags = np.concatenate([[0], data.l[1:]])
+        data = Dataset(x=x, l=flags, y=None if data.y is None else np.concatenate([[0], data.y[1:]]))
+        theta = np.zeros(free_param_length(kind, 2))
+        theta[: 2] = theta[-3:-1] = 1.0  # the selection's and the target's weights
+        if kind == ModelKind.PSYCHM:
+            theta[3:5] = (-29.0, -29.0)  # inside the clip; a lapse of 2.5e-13 leaves row 0 clamped
+        fold = np.concatenate([[0], rng.integers(1, 3, size=data.n - 1)])
+        grads, hessians = self.check_hessian(data, kind, theta, RegConfig(0.5, 0.5), fold)
+        np.testing.assert_array_equal(grads[0], 0.0)
+        np.testing.assert_array_equal(hessians[0], 0.0)
+        assert np.any(hessians[1] != 0.0)
+
+    def test_surrogate_past_the_bound_contributes_nothing(self):
+        rng = np.random.default_rng(23)
+        data = _random_dataset(rng, n=25, d=2)
+        theta = _random_theta(rng, ModelKind.PSYCHM, 2)
+        theta[3:5] = (RATE_LOGIT_BOUND + 2.0, 0.5)
+        grads, hessians = self.check_hessian(data, ModelKind.PSYCHM, theta, RegConfig(),
+                                             rng.integers(0, 3, size=data.n))
+        np.testing.assert_array_equal(grads[:, 3], 0.0)
+        np.testing.assert_array_equal(hessians[:, 3], 0.0)
+        np.testing.assert_array_equal(hessians[:, :, 3], 0.0)
+        assert np.all(hessians[:, 4, 4] != 0.0)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_fold_blocks_sum_to_the_full_data_block(self, kind):
+        rng = np.random.default_rng(24)
+        data = _for_kind(_random_dataset(rng, n=200, d=3), kind)
+        theta = _random_theta(rng, kind, 3)
+        reg = RegConfig(0.1, 0.2)
+        whole = fold_derivatives(data, kind, reg, theta, np.zeros(data.n, dtype=int))
+        folds = fold_derivatives(data, kind, reg, theta, rng.permutation(data.n) % 3)
+        assert whole[0].shape[0] == 1 and folds[0].shape[0] == 3
+        np.testing.assert_allclose(folds[0].sum(axis=0), whole[0][0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(folds[1].sum(axis=0), whole[1][0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(folds[2], whole[2])
+
+    @pytest.mark.parametrize("kind, weights", [
+        (ModelKind.SPM, ([0, 1], [3, 4])),
+        (ModelKind.PSYCHM, ([0, 1], [5, 6])),
+        (ModelKind.NAIVE, ([], [0, 1])),
+        (ModelKind.REAL_ORACLE, ([], [0, 1])),
+    ])
+    def test_penalty_diagonal(self, kind, weights):
+        rng = np.random.default_rng(25)
+        data = _for_kind(_random_dataset(rng, n=10, d=2), kind)
+        penalty = fold_derivatives(data, kind, RegConfig(0.3, 0.7), _random_theta(rng, kind, 2),
+                                   np.zeros(data.n, dtype=int))[2]
+        expected = np.zeros(free_param_length(kind, 2))
+        expected[weights[0]], expected[weights[1]] = 0.6, 1.4
+        np.testing.assert_array_equal(penalty, expected)
+
+    def test_one_fold_per_row_required(self):
+        data = _random_dataset(np.random.default_rng(26), n=10, d=2)
+        with pytest.raises(ValueError, match="fold for each of 10 rows"):
+            fold_derivatives(data, ModelKind.NAIVE, RegConfig(), np.zeros(3), np.zeros(9, dtype=int))
+

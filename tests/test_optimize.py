@@ -295,3 +295,41 @@ def test_fit_finishes_by_the_relative_decrease_stop(kind, former_evaluations):
     assert result.converged and result.iterations < cfg.max_iters
     assert result.grad_norm > cfg.grad_tol  # it was the relative-decrease stop
     assert len(calls) < former_evaluations
+
+
+def _counted(value_and_grad):
+    calls = []
+
+    def counting(theta):
+        calls.append(1)
+        return value_and_grad(theta)
+
+    return counting, calls
+
+
+@pytest.mark.parametrize("problem, init, cfg, stop", [
+    # Already stationary: the gradient stop at the start, one call.
+    (_quadratic(np.eye(3)), np.zeros(3), OptimizerConfig(), "gradient"),
+    (_quadratic(2.0 * np.eye(2)), np.array([3.0, 4.0]), OptimizerConfig(max_iters=10000), "gradient"),
+    # Every probe ties the loss in float64 (see the test above).
+    (_pair(lambda w: 1e20 + float(w @ w), lambda w: 2.0 * w), np.full(2, 1e-3),
+     OptimizerConfig(max_iters=50), "stall"),
+    (_pair(rosenbrock, rosenbrock_grad), np.array([-1.2, 1.0]), OptimizerConfig(max_iters=3), "cap"),
+])
+def test_stop_rule_and_evaluations_are_reported(problem, init, cfg, stop):
+    value, value_and_grad = problem
+    counting, calls = _counted(value_and_grad)
+    result = minimize(value, counting, init, cfg)
+    assert result.stop == stop
+    assert result.converged == (stop in ("gradient", "relative decrease"))
+    assert result.evaluations == len(calls) >= 1 + result.iterations
+
+
+def test_relative_decrease_stop_is_reported():
+    data = generate(GeneratorConfig(n=1667, seed=1))
+    value, value_and_grad = make_loss_functions(data, ModelKind.SPM, RegConfig(0.01, 0.01))
+    counting, calls = _counted(value_and_grad)
+    init = np.concatenate([np.full(data.dim, 0.1), [0.0], np.full(data.dim, -0.1), [0.0]])
+    result = minimize(value, counting, init, OptimizerConfig())
+    assert result.stop == "relative decrease" and result.grad_norm > OptimizerConfig().grad_tol
+    assert result.evaluations == len(calls)

@@ -189,6 +189,13 @@ class TestFitSingle:
         assert payload["penalties"]["c_sel"] in cfg.protocol.cv.grid_sel
         assert payload["penalties"]["c_tgt"] in cfg.protocol.cv.grid_tgt
         assert "selection" in payload["params"] and "target" in payload["params"]
+        # The lowest-loss start's account, the engine calls and stop rule included.
+        diagnostics = payload["diagnostics"]
+        assert set(diagnostics) == {
+            "loss", "grad_norm", "iterations", "evaluations", "stop", "converged", "notes"
+        }
+        assert diagnostics["evaluations"] > diagnostics["iterations"]
+        assert diagnostics["stop"] in ("gradient", "relative decrease", "stall", "cap")
         assert "recovery" in payload  # sidecar present next to the CSV
         assert -1.0 <= payload["recovery"]["target_weight_cosine"] <= 1.0
         assert json.loads(out_file.read_text()) == payload
@@ -306,6 +313,15 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text("generator.n\n")
         with pytest.raises(ValueError, match="line 1"):
+            parse_config_file(path)
+
+    def test_leading_byte_order_mark_skipped(self, tmp_path):
+        # As some editors save UTF-8; the mark was read as part of the first key.
+        path = tmp_path / "exp.cfg"
+        path.write_bytes("\ufeffseed=3\n".encode())
+        assert parse_config_file(path) == {"seed": "3"}
+        path.write_bytes("\ufeff\ufeffseed=3\n".encode())  # only one is skipped
+        with pytest.raises(ValueError, match=r"unknown key '\\ufeffseed'"):
             parse_config_file(path)
 
     def test_line_that_is_not_utf8_rejected(self, tmp_path):
@@ -450,8 +466,9 @@ class TestCliMain:
         assert "4 final fits did not converge" in capsys.readouterr().err
 
     def test_unit_whose_cv_fails_is_recorded_as_failed(self, tmp_path):
-        # Trial 257's training half has 4 annotated rows of 150, so every
-        # naive CV cell meets a fold with none of them.
+        # Trial 257's training half has 4 annotated rows of 150, so the
+        # training rows of some fold hold none of them, which fails every
+        # naive CV cell.
         flags = self._flags(tmp_path)
         cfg = build_config({k[2:]: v for k, v in zip(flags[::2], flags[1::2])})
         reports = runner._run_synth_trial(cfg, 257)
@@ -463,12 +480,13 @@ class TestCliMain:
     def test_bench_synth_survives_a_failed_fit(self, tmp_path, capsys, monkeypatch):
         fit_naive, failed = estimators.fit_naive, []
 
-        def first_final_fit_fails(data, *args):
-            # Final fits see all 150 training rows, fold fits 75.
-            if data.n == 150 and not failed:
+        def first_final_fit_fails(data, reg, protocol, *args):
+            # Final fits run at the optimizer's budget of 150 iterations, CV
+            # cell fits at --cv.max_iters 33.
+            if protocol.optimizer.max_iters == 150 and not failed:
                 failed.append(data.n)
                 raise NonFiniteError("loss is nan", np.zeros(data.dim + 1))
-            return fit_naive(data, *args)
+            return fit_naive(data, reg, protocol, *args)
 
         monkeypatch.setattr(estimators, "fit_naive", first_final_fit_fails)
         code = main(["bench-synth", "--trials", "2", "--jobs", "1", *self._flags(tmp_path)])
@@ -481,9 +499,9 @@ class TestCliMain:
         assert "model naive failed to fit at trial_id 0" in capsys.readouterr().err
 
     def test_bench_real_survives_a_one_row_elkan_fold(self, tmp_path, capsys):
-        # A resample's two training rows in two folds: each Elkan fold fit
-        # gets one row, too few for its holdout split, so Elkan's cell fails
-        # and the run goes on.
+        # A resample's two training rows in two folds: each fold's training
+        # rows are one row, so one class, and every Elkan cell fails; the
+        # run goes on.
         csv_path = tmp_path / "t.csv"
         csv_path.write_text("f0,l,y\n0.1,1,1\n0.2,0,1\n-0.3,0,0\n0.4,1,1\n")
         code = main([
@@ -503,7 +521,7 @@ class TestCliMain:
         def no_constants(name):
             raise AssertionError(f"aggregate.json holds {name}, which is not JSON")
 
-        # A one-cell grid runs no fold fits, so the final fit is naive's only one.
+        # A one-cell grid runs no CV fits, so the final fit is naive's only one.
         monkeypatch.setattr(estimators, "fit_naive", fails)
         code = main([
             "bench-synth", "--trials", "1", "--models", "naive,real", "--generator.n", "300",
