@@ -53,9 +53,12 @@ with t's weights penalized by c_tgt and no selection or rate slots.  The
 naive baseline and Elkan's annotation model fit the flags l; the oracle
 fits the ground-truth classes y in their place.
 
-`make_loss_functions` is the one way into the likelihood, for every kind,
-and `unpack` the one reader of these layouts: every fit turns its
-optimizer's vector into model parameters through it, whatever the kind.
+`make_loss_functions` is the one way into the loss and its gradient, for
+every kind, and `fold_derivatives` the one way into its data term's
+gradient and Hessian per cross-validation fold; both evaluate the one
+engine, `_Engine`.  `unpack` is the one reader of these layouts: every fit
+turns its optimizer's vector into model parameters through it, whatever
+the kind.
 """
 
 from __future__ import annotations
@@ -189,7 +192,9 @@ class _Engine:
     rows of x are kept transposed with a row of ones appended, so one
     matmul forms every factor's affine score, bias included, and one more
     gives all weight and bias gradients.  `value_and_grad` is the one
-    entry point: every loss, with or without its gradient, comes from it.
+    entry point of the loss: every loss, with or without its gradient,
+    comes from it.  `fold_derivatives` gives the data term's gradient and
+    Hessian per fold.
 
     Per-row intermediates go into work arrays allocated once per engine:
     fresh temporaries of this size were handed back to the operating system
@@ -299,7 +304,6 @@ class _Engine:
                 grad[j] = -rate * (d_rate - mean) if inside else 0.0
         return value, grad
 
-
     def fold_derivatives(self, theta: np.ndarray, fold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per fold k, the gradient (K, n_free) and Hessian (K, n_free,
         n_free) of fold k's data term, the negative log-likelihood of the
@@ -325,14 +329,15 @@ class _Engine:
         xt, s, p0 = self.xt.take(order, axis=1), self.s.take(order, axis=1), self.p0.take(order)
         # d log(clip(arg)) / dq; its square is minus the second derivative.
         r = np.where(self.arg == self.clipped, self.sign / self.clipped, 0.0).take(order)
-        l1, l2 = self._local_derivatives(s, p0, r, guess, lapse)
-        rate = [self.free_rates and 0 < u < 3 for u in range(len(l1))]
-        pairs = [(u, v) for u in range(len(l1)) for v in range(u, len(l1))]
+        n_local = len(self.factors) + 2 * self.free_rates
+        rate = [self.free_rates and 0 < u < 3 for u in range(n_local)]
+        pairs = [(u, v) for u in range(n_local) for v in range(u, n_local)]
+        l1, l2 = self._local_derivatives(s, p0, r, guess, lapse, pairs)
         # Per fold: sum x l1[u] for the gradient and sum x x^T l2[u, v] per
         # pair, of which a pair with a rate needs the bias row x l2[u, v] alone.
         full = [p for p, (u, v) in enumerate(pairs) if not (rate[u] or rate[v])]
         n_folds = len(bounds) - 1
-        vectors = np.empty((n_folds, len(l1), d + 1))
+        vectors = np.empty((n_folds, n_local, d + 1))
         grams = np.zeros((n_folds, len(pairs), d + 1, d + 1))
         for k, rows in enumerate(map(slice, bounds, bounds[1:])):
             x = xt[:, rows]
@@ -369,9 +374,9 @@ class _Engine:
             grads = grads @ chain
         return grads, hessians
 
-    def _local_derivatives(self, s, p0, r, guess, lapse) -> tuple[np.ndarray, np.ndarray]:
+    def _local_derivatives(self, s, p0, r, guess, lapse, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the derivatives of log(arg) by the local coordinates:
-        l1[u] by coordinate u, and l2 by each pair u <= v in row-major order.
+        l1[u] by coordinate u, and l2[p] by the p-th of ``pairs``.
 
         With q1[u] = dq / du and q2[u, v] = d^2 q / du dv, they are r q1[u]
         and r q2[u, v] - r^2 q1[u] q1[v], since d^2 log(arg) / dq^2 = -r^2."""
@@ -394,8 +399,8 @@ class _Engine:
                 q2[0, 1] = q2[0, 2] = -ds[0] * t
                 q2[1, tgt], q2[2, tgt] = (1.0 - s[0]) * ds[1], -s[0] * ds[1]
         l1 = r * q1
-        l2 = np.empty(((len(q1) * (len(q1) + 1)) // 2, len(r)))
-        for p, (u, v) in enumerate((u, v) for u in range(len(q1)) for v in range(u, len(q1))):
+        l2 = np.empty((len(pairs), len(r)))
+        for p, (u, v) in enumerate(pairs):
             np.multiply(l1[u], -l1[v], out=l2[p])
             if (u, v) in q2:
                 l2[p] += r * q2[u, v]
